@@ -1,7 +1,7 @@
 """Tree-structured semantic encoding and generation for multi-domain dialogue NLG."""
 
 from .engine import Adam, GradCheckReport, Node, ParamBinding, Tape, grad_check
-from .generation import GenerationResult, beam_decode, greedy_decode, render
+from .generation import GenerationResult, beam_decode, greedy_decode
 from .metrics import BleuReport, SerCounts, aggregate, bleu, seen_unseen_split, ser
 from .model import Checkpoint, Model, Vocabulary, load_checkpoint, save_checkpoint
 from .semantics import (
@@ -28,7 +28,7 @@ __all__ = [
     "Tape", "TrainConfig", "Vocabulary", "adapt", "aggregate", "beam_decode",
     "bleu", "build_tree", "delexicalize", "encode", "encode_flat",
     "grad_check", "greedy_decode", "lexicalize", "load_checkpoint",
-    "load_corpus", "load_ontology", "render", "run_matrix",
+    "load_corpus", "load_ontology", "run_matrix",
     "save_checkpoint", "seen_unseen_split", "ser", "synth_corpus",
     "tokenize", "train",
 ]

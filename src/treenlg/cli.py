@@ -17,10 +17,10 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-from .errors import CompatibilityError, ModeError, TreeNlgError
-from .generation import beam_decode, greedy_decode
-from .metrics import bleu, corpus_ser, seen_unseen_split, ser
-from .model import load_checkpoint, save_checkpoint
+from .errors import CompatibilityError, ConfigError, ModeError, ParseError, TreeNlgError
+from .generation import DEFAULT_MAX_LENGTH, beam_decode, greedy_decode
+from .metrics import seen_unseen_split
+from .model import MODES, load_checkpoint, save_checkpoint
 from .semantics import (
     SemanticRepresentation,
     delexicalize,
@@ -34,6 +34,7 @@ from .training import (
     gradient_check_report,
     results_to_csv,
     run_matrix,
+    score_hypotheses,
     train,
 )
 
@@ -52,44 +53,41 @@ def _write_jsonl(path: Path, records) -> None:
     _write_text(path, "\n".join(json.dumps(r) for r in records) + "\n")
 
 
-_CONFIG_FLAGS = [f.name for f in fields(TrainConfig)]
-
-
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON file with TrainConfig fields")
-    for name in _CONFIG_FLAGS:
-        flag = "--" + name.replace("_", "-")
-        if name == "mode":
-            parser.add_argument(flag, default=None,
-                                choices=["tree+att", "tree", "flat-baseline"])
-        elif name in ("dropout", "lr_scratch", "lr_adapt", "clip_norm", "init_scale"):
-            parser.add_argument(flag, type=float, default=None)
+    for f in fields(TrainConfig):
+        flag = "--" + f.name.replace("_", "-")
+        if f.name == "mode":
+            parser.add_argument(flag, default=None, choices=MODES)
         else:
-            parser.add_argument(flag, type=int, default=None)
+            parser.add_argument(flag, type=int if f.type == "int" else float, default=None)
     parser.add_argument("--no-clip", action="store_true",
                         help="disable gradient-norm clipping")
 
 
 def _config_from_args(args: argparse.Namespace) -> TrainConfig:
-    values: dict = {}
-    if args.config:
-        raw = json.loads(Path(args.config).read_text())
-        values.update(raw)
-    for name in _CONFIG_FLAGS:
-        flag_value = getattr(args, name, None)
-        if flag_value is not None:
-            values[name] = flag_value
-    config = TrainConfig(**values)
-    if getattr(args, "no_clip", False):
-        config.clip_norm = None
-    config.validate()
-    return config
+    values = json.loads(Path(args.config).read_text()) if args.config else {}
+    if isinstance(values, dict):  # from_json rejects anything else
+        for f in fields(TrainConfig):
+            if getattr(args, f.name, None) is not None:
+                values[f.name] = getattr(args, f.name)
+        if getattr(args, "no_clip", False):
+            values["clip_norm"] = None
+    return TrainConfig.from_json(values)
 
 
 def _out_dir(path: str) -> Path:
     out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
     return out
+
+
+def _save_outcome(outcome, out: Path, summary: str) -> None:
+    checkpoint = outcome.checkpoint
+    save_checkpoint(out / "checkpoint.ckpt", checkpoint.model, checkpoint.config,
+                    checkpoint.epoch, checkpoint.dev_metrics)
+    outcome.write_log(out / "epochs.jsonl")
+    print(f"{summary}: {checkpoint.dev_metrics}")
 
 
 def _check_fingerprint(checkpoint, ontology_path: str | None) -> None:
@@ -157,11 +155,7 @@ def cmd_train(args) -> int:
     out = _out_dir(args.out)
     log_fn = print if args.verbose else None
     outcome = train(corpus, config, ontology, log_fn=log_fn)
-    save_checkpoint(out / "checkpoint.ckpt", outcome.checkpoint.model,
-                    outcome.checkpoint.config, outcome.checkpoint.epoch,
-                    outcome.checkpoint.dev_metrics)
-    outcome.write_log(out / "epochs.jsonl")
-    print(f"best epoch {outcome.checkpoint.epoch}: {outcome.checkpoint.dev_metrics}")
+    _save_outcome(outcome, out, f"best epoch {outcome.checkpoint.epoch}")
     return 0
 
 
@@ -177,11 +171,7 @@ def cmd_adapt(args) -> int:
     outcome = adapt(checkpoint, corpus, args.fraction, config,
                     seed=args.seed if args.seed is not None else config.seed,
                     log_fn=log_fn)
-    save_checkpoint(out / "checkpoint.ckpt", outcome.checkpoint.model,
-                    outcome.checkpoint.config, outcome.checkpoint.epoch,
-                    outcome.checkpoint.dev_metrics)
-    outcome.write_log(out / "epochs.jsonl")
-    print(f"adapted on fraction {args.fraction}: {outcome.checkpoint.dev_metrics}")
+    _save_outcome(outcome, out, f"adapted on fraction {args.fraction}")
     return 0
 
 
@@ -191,41 +181,52 @@ def cmd_generate(args) -> int:
     model = checkpoint.model
     corpus = load_corpus(args.corpus, model.ontology)
     examples = corpus.split(args.split) if args.split else corpus.examples
+    beam = args.beam if args.beam is not None else \
+        TrainConfig.from_json(checkpoint.config).beam_size
     lines = []
     for ex in examples:
         if args.greedy:
             result = greedy_decode(model, ex.sr, max_length=args.max_length)
         else:
-            result = beam_decode(model, ex.sr, beam_size=args.beam,
-                                 max_length=args.max_length)
+            result = beam_decode(model, ex.sr, beam_size=beam, max_length=args.max_length)
         lines.append(result.to_json(ex.sr, model.ontology))
     _write_jsonl(Path(args.out), lines)
     print(f"wrote {len(lines)} generations to {args.out}")
     return 0
 
 
+def _read_hypotheses(path: str) -> list[list[str]]:
+    """The delexicalized hypotheses of each non-blank generations line, best first."""
+    out = []
+    for n, line in enumerate(Path(path).read_text().splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            hyps = [h["delex"] for h in json.loads(line)["hyps"]]
+        except (KeyError, TypeError):
+            hyps = []
+        if not hyps or not all(isinstance(h, str) for h in hyps):
+            raise ParseError(f'{path}:{n}: expected a non-empty "hyps" list of '
+                             f'objects with a string "delex"')
+        out.append(hyps)
+    return out
+
+
 def cmd_evaluate(args) -> int:
     ontology = load_ontology(args.ontology)
     corpus = load_corpus(args.corpus, ontology)
     examples = corpus.split(args.split) if args.split else corpus.examples
-    generations = [json.loads(line) for line in
-                   Path(args.generations).read_text().splitlines() if line.strip()]
+    generations = _read_hypotheses(args.generations)
     if len(generations) != len(examples):
         raise CompatibilityError(
             f"{len(generations)} generation lines for {len(examples)} examples")
+    if not examples:
+        raise ConfigError(f"no examples to evaluate in split {args.split!r}")
 
-    def metrics_at(rank: int) -> dict:
-        hyps, refs, counts = [], [], []
-        for gen, ex in zip(generations, examples):
-            hyp_list = gen["hyps"]
-            hyp = hyp_list[min(rank, len(hyp_list) - 1)]["delex"]
-            hyps.append(hyp)
-            refs.append(delexicalize(ex.sr, ex.text).text)
-            counts.append(ser(ex.sr, hyp))
-        return {"ser": corpus_ser(counts).rate, "bleu": bleu(hyps, refs).score}
-
-    k = max(len(g["hyps"]) for g in generations)
-    per_rank = [metrics_at(r) for r in range(k)]
+    k = max(len(hyps) for hyps in generations)
+    # Lines with fewer than k hypotheses repeat their last one.
+    per_rank = [score_hypotheses(examples, [hyps[min(r, len(hyps) - 1)] for hyps in generations])
+                for r in range(k)]
     report = {
         "n": len(examples),
         "top1": per_rank[0],
@@ -236,25 +237,13 @@ def cmd_evaluate(args) -> int:
         },
     }
     if args.seen_unseen:
-        train_examples = corpus.split("train")
-        seen, unseen = seen_unseen_split(examples, train_examples)
-        seen_idx = {id(e) for e in seen}
-        breakdown = {}
-        for label, subset in (("seen", seen), ("unseen", unseen)):
-            if not subset:
-                breakdown[label] = {"n": 0}
-                continue
-            hyps, refs, counts = [], [], []
-            for gen, ex in zip(generations, examples):
-                if (id(ex) in seen_idx) != (label == "seen"):
-                    continue
-                hyp = gen["hyps"][0]["delex"]
-                hyps.append(hyp)
-                refs.append(delexicalize(ex.sr, ex.text).text)
-                counts.append(ser(ex.sr, hyp))
-            breakdown[label] = {"n": len(subset), "ser": corpus_ser(counts).rate,
-                                "bleu": bleu(hyps, refs).score}
-        report["seen_unseen"] = breakdown
+        top1 = {id(ex): hyps[0] for ex, hyps in zip(examples, generations)}
+        subsets = seen_unseen_split(examples, corpus.split("train"))
+        report["seen_unseen"] = {
+            label: {"n": len(subset),
+                    **score_hypotheses(subset, [top1[id(ex)] for ex in subset])}
+            if subset else {"n": 0}
+            for label, subset in zip(("seen", "unseen"), subsets)}
     if args.out:
         _write_json(Path(args.out), report)
     print(json.dumps(report, indent=2, sort_keys=True))
@@ -348,9 +337,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--ontology", help="optional cross-check against the checkpoint")
     p.add_argument("--split", default="test")
-    p.add_argument("--beam", type=int, default=10)
+    p.add_argument("--beam", type=int, default=None,
+                   help="beam size (default: the checkpoint config's beam_size)")
     p.add_argument("--greedy", action="store_true")
-    p.add_argument("--max-length", type=int, default=80)
+    p.add_argument("--max-length", type=int, default=DEFAULT_MAX_LENGTH)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_generate)
 
@@ -381,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--sr", required=True, help="JSON file with the SR entry list")
     p.add_argument("--ontology", help="optional cross-check against the checkpoint")
-    p.add_argument("--max-length", type=int, default=80)
+    p.add_argument("--max-length", type=int, default=DEFAULT_MAX_LENGTH)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_trace)
 

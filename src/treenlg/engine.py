@@ -22,11 +22,9 @@ Array = np.ndarray
 
 def _as_f64(value) -> Array:
     arr = np.asarray(value, dtype=np.float64)
-    # One-pass finiteness probe: any NaN/Inf survives the sum (desk-scale
-    # magnitudes cannot overflow a float64 accumulator).
-    if not math.isfinite(float(arr.sum())):
-        if arr.size and np.all(np.isfinite(arr)):
-            raise DomainError("tensor magnitudes overflow the finiteness probe")
+    # One-pass finiteness probe: any NaN/Inf survives the sum.  A sum that
+    # overflows on finite values falls back to the element-wise check.
+    if not math.isfinite(float(arr.sum())) and not np.isfinite(arr).all():
         raise DomainError("non-finite values in tensor")
     return arr
 
@@ -34,12 +32,11 @@ def _as_f64(value) -> Array:
 class Node:
     """One entry on the tape: a cached forward value plus its adjoint hook."""
 
-    __slots__ = ("tape", "idx", "value", "parents", "vjp", "param", "grad", "grad_owned")
+    __slots__ = ("tape", "value", "parents", "vjp", "param", "grad", "grad_owned")
 
-    def __init__(self, tape: "Tape", idx: int, value: Array,
+    def __init__(self, tape: "Tape", value: Array,
                  parents: tuple["Node", ...], vjp, param: str | None):
         self.tape = tape
-        self.idx = idx
         self.value = value
         self.parents = parents
         self.vjp = vjp
@@ -52,14 +49,14 @@ class Node:
         return self.value.shape
 
     def __repr__(self) -> str:  # pragma: no cover
-        return f"Node(idx={self.idx}, shape={self.value.shape}, param={self.param})"
+        return f"Node(shape={self.value.shape}, param={self.param})"
 
 
 class Tape:
     """Single-owner computation graph; rebuilt per example.
 
     With ``recording=False`` the same numeric path is executed but no
-    adjoint closures are kept, which makes pure inference cheaper.
+    nodes or adjoint closures are kept, which makes pure inference cheaper.
     """
 
     def __init__(self, recording: bool = True):
@@ -67,8 +64,9 @@ class Tape:
         self.nodes: list[Node] = []
 
     def _append(self, value: Array, parents: tuple[Node, ...], vjp, param=None) -> Node:
-        node = Node(self, len(self.nodes), value, parents, vjp, param)
-        self.nodes.append(node)
+        node = Node(self, value, parents, vjp, param)
+        if self.recording:
+            self.nodes.append(node)
         return node
 
     def leaf(self, value, param: str | None = None) -> Node:

@@ -199,17 +199,6 @@ def beam_decode(model: Model, sr: SemanticRepresentation,
     return _rank(model, sr, finished, beam_size)
 
 
-def render(result: GenerationResult, sr: SemanticRepresentation) -> list[RankedHypothesis]:
-    """Re-lexicalize every hypothesis against the SR.  Placeholder tokens the
-    SR does not license stay verbatim and are flagged, never fatal."""
-    out = []
-    for h in result.hypotheses:
-        surface, flags = lexicalize(sr, h.delex_text, strict=False)
-        out.append(RankedHypothesis(h.delex_text, surface, h.score, h.trace,
-                                    flags, h.truncated))
-    return out
-
-
 def greedy_decode(model: Model, sr: SemanticRepresentation,
                   max_length: int = DEFAULT_MAX_LENGTH) -> GenerationResult:
     """Argmax token per step; placeholder resolution identical to beam search."""

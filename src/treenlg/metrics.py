@@ -115,20 +115,16 @@ def bleu(hypotheses: list[str], references: list[str]) -> BleuReport:
     return BleuReport(score, tuple(precisions), bp)
 
 
-def aggregate(rows: list[dict], group_keys: tuple[str, ...] = ("mode", "fraction"),
-              value_keys: tuple[str, ...] = ("ser", "bleu")) -> list[dict]:
-    """Mean and population standard deviation per group, in stable order."""
+def aggregate(rows: list[dict]) -> list[dict]:
+    """Mean and population standard deviation of SER and BLEU per (mode,
+    fraction), in stable order."""
     groups: dict[tuple, list[dict]] = {}
     for row in rows:
-        groups.setdefault(tuple(row[k] for k in group_keys), []).append(row)
+        groups.setdefault((row["mode"], row["fraction"]), []).append(row)
     out = []
-    for key in sorted(groups):
-        members = groups[key]
-        if not members:
-            raise ContractError("empty aggregation group")
-        summary = dict(zip(group_keys, key))
-        summary["n"] = len(members)
-        for vk in value_keys:
+    for (mode, fraction), members in sorted(groups.items()):
+        summary = {"mode": mode, "fraction": fraction, "n": len(members)}
+        for vk in ("ser", "bleu"):
             values = [float(m[vk]) for m in members]
             mean = sum(values) / len(values)
             var = sum((v - mean) ** 2 for v in values) / len(values)

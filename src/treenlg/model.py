@@ -66,10 +66,6 @@ class Vocabulary:
     def eos_id(self) -> int:
         return self.index[EOS]
 
-    @property
-    def unk_id(self) -> int:
-        return self.index[UNK]
-
     def id_of(self, token: str) -> int:
         return self.index.get(token, self.index[UNK])
 

@@ -154,10 +154,6 @@ class SrEntry:
     value: str | None
 
     @property
-    def is_request(self) -> bool:
-        return self.value == REQUEST
-
-    @property
     def is_bare_act(self) -> bool:
         return self.slot is None
 
@@ -410,9 +406,10 @@ class Corpus:
     def split(self, name: str) -> list[Example]:
         return [e for e in self.examples if e.split == name]
 
-    def filter_domain(self, domain: str, exclude_multi: bool = True) -> "Corpus":
+    def filter_domain(self, domain: str) -> "Corpus":
+        """The single-domain examples of ``domain``."""
         kept = [e for e in self.examples
-                if domain in e.sr.domains and not (exclude_multi and e.is_multi_domain)]
+                if domain in e.sr.domains and not e.is_multi_domain]
         return Corpus(kept, self.ontology)
 
     def distinct_sr_counts(self) -> dict[str, int]:

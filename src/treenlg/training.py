@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Callable
 
@@ -29,9 +29,10 @@ from .decoder import (
 )
 from .engine import Adam, Node, ParamBinding, Tape, add, clip_gradients, log, neg, pick
 from .errors import ConfigError, ContractError
-from .generation import beam_decode, greedy_decode
+from .generation import DEFAULT_BEAM_SIZE, DEFAULT_MAX_LENGTH, greedy_decode
 from .metrics import bleu, corpus_ser, ser
 from .model import (
+    MODES,
     Checkpoint,
     Model,
     PreparedExample,
@@ -44,9 +45,11 @@ from .model import (
     prepare_example,
     rng_stream,
 )
-from .semantics import Corpus, Example, Ontology, delexicalize
+from .semantics import Corpus, Example, Ontology, SemanticRepresentation, SrEntry, delexicalize
 
-MODES = ("tree+att", "tree", "flat-baseline")
+# Accepted JSON value types per TrainConfig field annotation.
+_JSON_TYPES = {"int": int, "float": (int, float), "float | None": (int, float, type(None)),
+               "str": str}
 
 
 @dataclass
@@ -63,8 +66,8 @@ class TrainConfig:
     patience: int = 20
     seed: int = 0
     mode: str = "tree+att"
-    beam_size: int = 10
-    max_length: int = 80
+    beam_size: int = DEFAULT_BEAM_SIZE
+    max_length: int = DEFAULT_MAX_LENGTH
     clip_norm: float | None = 5.0
     init_scale: float = 0.1
 
@@ -80,7 +83,7 @@ class TrainConfig:
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be positive")
         for name in ("lr_scratch", "lr_adapt", "init_scale"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:  # also rejects NaN
                 raise ConfigError(f"{name} must be positive")
 
     def to_json(self) -> dict:
@@ -88,6 +91,15 @@ class TrainConfig:
 
     @staticmethod
     def from_json(raw: dict) -> "TrainConfig":
+        """The one place a JSON object becomes a validated config."""
+        if not isinstance(raw, dict):
+            raise ConfigError(f"config must be a JSON object, got {type(raw).__name__}")
+        annotations = {f.name: f.type for f in fields(TrainConfig)}
+        for key, value in raw.items():
+            if key not in annotations:
+                raise ConfigError(f"unknown config key {key!r}")
+            if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[annotations[key]]):
+                raise ConfigError(f"config key {key!r} must be {annotations[key]}, got {value!r}")
         config = TrainConfig(**raw)
         config.validate()
         return config
@@ -165,30 +177,20 @@ def teacher_forced(model: Model, prep: PreparedExample, config: TrainConfig,
     return SentenceForward(tape, loss, nll, len(targets))
 
 
-def dataset_loss(model: Model, prepared: list[PreparedExample],
-                 config: TrainConfig) -> float:
-    """Mean per-sentence objective with dropout disabled."""
-    total = 0.0
-    for prep in prepared:
-        fwd = teacher_forced(model, prep, config, training=False, recording=False)
-        total += float(fwd.loss.value)
-    return total / len(prepared)
-
-
-def evaluate_examples(model: Model, examples: list[Example], method: str = "greedy",
-                      beam_size: int = 10, max_length: int = 80) -> dict:
-    """Greedy (or beam top-1) decode, then corpus SER and BLEU against the
-    delexicalized references."""
-    refs, hyps, counts = [], [], []
-    for ex in examples:
-        refs.append(delexicalize(ex.sr, ex.text).text)
-        if method == "greedy":
-            result = greedy_decode(model, ex.sr, max_length=max_length)
-        else:
-            result = beam_decode(model, ex.sr, beam_size=beam_size, max_length=max_length)
-        hyps.append(result.top.delex_text)
-        counts.append(ser(ex.sr, result.top.delex_text))
+def score_hypotheses(examples: list[Example], hyps: list[str]) -> dict:
+    """Corpus SER and BLEU of one delexicalized hypothesis per example
+    against the delexicalized references."""
+    refs = [delexicalize(ex.sr, ex.text).text for ex in examples]
+    counts = [ser(ex.sr, hyp) for ex, hyp in zip(examples, hyps)]
     return {"ser": corpus_ser(counts).rate, "bleu": bleu(hyps, refs).score}
+
+
+def evaluate_examples(model: Model, examples: list[Example],
+                      max_length: int = DEFAULT_MAX_LENGTH) -> dict:
+    """Greedy decode, then score against the delexicalized references."""
+    hyps = [greedy_decode(model, ex.sr, max_length=max_length).top.delex_text
+            for ex in examples]
+    return score_hypotheses(examples, hyps)
 
 
 @dataclass
@@ -302,7 +304,10 @@ def adapt(checkpoint: Checkpoint, target_corpus: Corpus, fraction: float,
           config: TrainConfig, seed: int,
           log_fn: Callable[[str], None] | None = None) -> TrainOutcome:
     """Fine-tune every parameter on a seeded fraction of the target train
-    split at the adaptation learning rate, early-stopping on target dev."""
+    split at the adaptation learning rate, early-stopping on target dev.
+
+    ``checkpoint.model`` is fine-tuned in place; pass a
+    :func:`clone_checkpoint` copy to keep the source model."""
     config.validate()
     model = checkpoint.model
     ontology = model.ontology
@@ -331,14 +336,13 @@ def gradcheck_setup(hidden: int = 8, seed: int = 0,
                  "request": {"price": "requestable"}},
         "inn": {"inform": {"area": "informable"}},
     })
-    sr = _corpus_from_payload([{
-        "sr": [{"domain": "cafe", "act": "inform", "slot": "area", "value": "west"},
-               {"domain": "cafe", "act": "inform", "slot": "price", "value": "cheap"},
-               {"domain": "cafe", "act": "request", "slot": "price", "value": "?"}],
-        "text": "a cheap place in the west ?", "split": "train"}], ontology).examples[0]
+    sr = SemanticRepresentation([SrEntry("cafe", "inform", "area", "west"),
+                                 SrEntry("cafe", "inform", "price", "cheap"),
+                                 SrEntry("cafe", "request", "price", "?")], ontology)
+    example = Example(sr, "a cheap place in the west ?", "train")
     config = TrainConfig(hidden=hidden, dropout=0.0, seed=seed, mode=mode,
                          max_length=20)
-    prep = prepare_example(sr, mode, ontology)
+    prep = prepare_example(example, mode, ontology)
     vocab = Vocabulary.build([prep.tokens], placeholder_only=mode == "tree+att")
     model = Model.create(mode, ontology, vocab, hidden,
                          rng_stream(seed, STREAM_INIT))
@@ -410,12 +414,8 @@ def parse_results_csv(text: str) -> tuple[list[dict], list[dict]]:
 def _matrix_task(args: tuple) -> list[dict]:
     """One (mode, seed) line of the matrix: train on source once, then adapt
     at every fraction.  Runs in a worker process."""
-    (mode, seed, fractions, config_json, source_corpus_payload,
-     target_corpus_payload, ontology_schema, source, target, cell_indices) = args
-    ontology = Ontology(ontology_schema)
-    source_corpus = _corpus_from_payload(source_corpus_payload, ontology)
-    target_corpus = _corpus_from_payload(target_corpus_payload, ontology)
-
+    (mode, seed, fractions, config_json, source_corpus, target_corpus, ontology,
+     source, target, cell_indices) = args
     config = TrainConfig.from_json(config_json)
     config.mode = mode
     config.seed = seed
@@ -443,19 +443,6 @@ def clone_checkpoint(checkpoint: Checkpoint) -> Checkpoint:
                   {name: value.copy() for name, value in model.params.items()})
     return Checkpoint(clone, dict(checkpoint.config), checkpoint.epoch,
                       dict(checkpoint.dev_metrics))
-
-
-def _corpus_payload(corpus: Corpus) -> list[dict]:
-    return [{"sr": e.sr.to_json(), "text": e.text, "split": e.split}
-            for e in corpus.examples]
-
-
-def _corpus_from_payload(payload: list[dict], ontology: Ontology) -> Corpus:
-    from .semantics import SemanticRepresentation
-
-    examples = [Example(SemanticRepresentation.from_json(r["sr"], ontology),
-                        r["text"], r["split"]) for r in payload]
-    return Corpus(examples, ontology)
 
 
 def run_matrix(corpus: Corpus, ontology: Ontology, source: str, target: str,
@@ -489,9 +476,8 @@ def run_matrix(corpus: Corpus, ontology: Ontology, source: str, target: str,
             for seed in seeds:
                 cell_indices = [i * len(fractions) + j for j in range(len(fractions))]
                 tasks.append((mode, seed, list(fractions), config.to_json(),
-                              _corpus_payload(source_corpus),
-                              _corpus_payload(target_corpus),
-                              ontology.schema, source, target, cell_indices))
+                              source_corpus, target_corpus, ontology, source,
+                              target, cell_indices))
         if workers > 1:
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 for task_rows in pool.map(_matrix_task, tasks):

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from treenlg.cli import main
+from treenlg.model import load_checkpoint, save_checkpoint
 from treenlg.semantics import delexicalize, load_corpus, load_ontology
 
 
@@ -120,6 +121,16 @@ class TestTrain:
         entries = (out / "epochs.jsonl").read_text().strip().splitlines()
         assert len(entries) == 2  # the flag beat the config file
 
+    @pytest.mark.parametrize("raw", [[1, 2], {"bogus": 1}, {"hidden": "100"}])
+    def test_malformed_config_exits_2(self, data_dir, tmp_path, capsys, raw):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(raw))
+        code = main(["train", "--corpus", str(data_dir / "corpus.jsonl"),
+                     "--ontology", str(data_dir / "ontology.json"),
+                     "--out", str(tmp_path / "run"), "--config", str(config_path)])
+        assert code == 2
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
 
 class TestAdapt:
     def test_adapts_checkpoint(self, data_dir, small_checkpoint, tmp_path):
@@ -170,6 +181,21 @@ class TestGenerateEvaluate:
         lines = [json.loads(x) for x in out.read_text().strip().splitlines()]
         assert lines
         assert all(1 <= len(line["hyps"]) <= 10 for line in lines)
+
+    def test_generate_beam_defaults_to_checkpoint_config(self, data_dir, small_checkpoint,
+                                                         tmp_path):
+        ckpt = load_checkpoint(small_checkpoint)
+        path = tmp_path / "beam2.ckpt"
+        save_checkpoint(path, ckpt.model, {**ckpt.config, "beam_size": 2}, ckpt.epoch,
+                        ckpt.dev_metrics)
+        args = ["generate", "--checkpoint", str(path),
+                "--corpus", str(data_dir / "corpus.jsonl"),
+                "--split", "test", "--max-length", "25"]
+        assert main(args + ["--out", str(tmp_path / "default.jsonl")]) == 0
+        assert main(args + ["--beam", "2", "--out", str(tmp_path / "explicit.jsonl")]) == 0
+        default = (tmp_path / "default.jsonl").read_text()
+        assert default == (tmp_path / "explicit.jsonl").read_text()
+        assert all(len(json.loads(x)["hyps"]) <= 2 for x in default.splitlines())
 
     def test_evaluate_identity_scores_perfectly(self, data_dir, tmp_path):
         ontology = load_ontology(data_dir / "ontology.json")
@@ -222,6 +248,32 @@ class TestGenerateEvaluate:
                      "--ontology", str(data_dir / "ontology.json"),
                      "--split", "test"])
         assert code == 3
+
+    def evaluate_exit(self, corpus_path, ontology_path, gen_lines, tmp_path, capsys):
+        gen_path = tmp_path / "gen.jsonl"
+        gen_path.write_text("".join(json.dumps(x) + "\n" for x in gen_lines))
+        code = main(["evaluate", "--generations", str(gen_path), "--corpus", str(corpus_path),
+                     "--ontology", str(ontology_path), "--split", "test"])
+        return code, capsys.readouterr().err.strip().splitlines()
+
+    def test_empty_split_and_generations_exit_2(self, data_dir, tmp_path, capsys):
+        corpus_path = tmp_path / "train_only.jsonl"
+        corpus_path.write_text("".join(
+            line + "\n" for line in (data_dir / "corpus.jsonl").read_text().splitlines()
+            if json.loads(line)["split"] == "train"))
+        code, err = self.evaluate_exit(corpus_path, data_dir / "ontology.json", [],
+                                       tmp_path, capsys)
+        assert code == 2 and len(err) == 1
+
+    @pytest.mark.parametrize("line", [{"sr": [], "trace": None},
+                                      {"sr": [], "hyps": [], "trace": None},
+                                      {"sr": [], "hyps": [{"delex": 5}], "trace": None}])
+    def test_line_without_usable_hypotheses_exits_2(self, data_dir, tmp_path, capsys, line):
+        n = len(load_corpus(data_dir / "corpus.jsonl",
+                            load_ontology(data_dir / "ontology.json")).split("test"))
+        code, err = self.evaluate_exit(data_dir / "corpus.jsonl", data_dir / "ontology.json",
+                                       [line] * n, tmp_path, capsys)
+        assert code == 2 and len(err) == 1
 
 
 class TestTrace:

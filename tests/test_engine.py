@@ -121,6 +121,13 @@ class TestElementwise:
         with pytest.raises(DomainError):
             t.leaf([1.0, np.inf])
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_finite_values_whose_sum_overflows_accepted(self):
+        t = Tape()
+        assert t.leaf([1e308, 1e308]).value.tolist() == [1e308, 1e308]
+        with pytest.raises(DomainError):
+            t.leaf([1e308, 1e308, np.nan])
+
 
 class TestSoftmax:
     def test_symmetry(self):
@@ -373,6 +380,9 @@ class TestMisc:
 
         def run(recording):
             t = Tape(recording=recording)
-            return tanh(matmul(t.leaf(w), t.leaf(x))).value
+            return t, tanh(matmul(t.leaf(w), t.leaf(x))).value
 
-        assert np.array_equal(run(True), run(False))
+        (recorded, value), (unrecorded, same) = run(True), run(False)
+        assert np.array_equal(value, same)
+        assert len(recorded.nodes) == 4
+        assert unrecorded.nodes == []

@@ -6,12 +6,7 @@ import pytest
 from treenlg.decoder import initial_state, make_feedback_input, step
 from treenlg.engine import ParamBinding, Tape
 from treenlg.errors import ContractError
-from treenlg.generation import (
-    GenerationResult,
-    beam_decode,
-    greedy_decode,
-    render,
-)
+from treenlg.generation import Hypothesis, _rank, beam_decode, greedy_decode
 from treenlg.model import Model, Vocabulary
 from treenlg.semantics import Ontology, SemanticRepresentation, SrEntry
 
@@ -190,40 +185,30 @@ class TestScores:
 
 
 class TestRender:
-    def test_value_substitution(self, ontology):
+    """Ranking lexicalizes every hypothesis against the SR."""
+
+    @staticmethod
+    def ranked(ontology, delex):
         sr = SemanticRepresentation(
             [SrEntry("hotel", "inform", "options", "two")], ontology)
-        result = GenerationResult([])
-        from treenlg.generation import RankedHypothesis
-        from treenlg.decoder import AttentionTrace
+        words = delex.split()
+        model = zeroed_model(ontology, words=words)
+        hyp = Hypothesis(tuple(model.vocab.encode(words)), -1.0, None, None, finished=True)
+        return _rank(model, sr, [hyp], beam_size=1).top
 
-        result.hypotheses.append(RankedHypothesis(
-            "i have @hotel-inform-options options", "", -1.0, AttentionTrace([])))
-        rendered = render(result, sr)
-        assert rendered[0].surface_text == "i have two options"
-        assert rendered[0].flags == []
+    def test_value_substitution(self, ontology):
+        top = self.ranked(ontology, "i have @hotel-inform-options options")
+        assert top.delex_text == "i have @hotel-inform-options options"
+        assert top.surface_text == "i have two options"
+        assert top.flags == []
 
     def test_no_placeholders_unchanged(self, ontology):
-        sr = SemanticRepresentation(
-            [SrEntry("hotel", "inform", "options", "two")], ontology)
-        from treenlg.generation import RankedHypothesis
-        from treenlg.decoder import AttentionTrace
-
-        result = GenerationResult([RankedHypothesis("plain words only", "", -1.0,
-                                                    AttentionTrace([]))])
-        assert render(result, sr)[0].surface_text == "plain words only"
+        assert self.ranked(ontology, "plain words only").surface_text == "plain words only"
 
     def test_unlicensed_token_flagged_verbatim(self, ontology):
-        sr = SemanticRepresentation(
-            [SrEntry("hotel", "inform", "options", "two")], ontology)
-        from treenlg.generation import RankedHypothesis
-        from treenlg.decoder import AttentionTrace
-
-        result = GenerationResult([RankedHypothesis(
-            "in the @hotel-inform-area", "", -1.0, AttentionTrace([]))])
-        rendered = render(result, sr)
-        assert rendered[0].surface_text == "in the @hotel-inform-area"
-        assert rendered[0].flags == ["@hotel-inform-area"]
+        top = self.ranked(ontology, "in the @hotel-inform-area")
+        assert top.surface_text == "in the @hotel-inform-area"
+        assert top.flags == ["@hotel-inform-area"]
 
 
 class TestValidation:

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treenlg.engine import Tape, softmax
 from treenlg.errors import ConfigError, ContractError
@@ -22,7 +24,6 @@ from treenlg.training import (
     TrainConfig,
     att_loss,
     adapt,
-    dataset_loss,
     nll_loss,
     parse_results_csv,
     results_to_csv,
@@ -117,9 +118,15 @@ class TestTrainLoop:
         vocab = Vocabulary.build([p.tokens for p in prep], placeholder_only=True)
         untrained = Model.create(config.mode, ontology, vocab, config.hidden,
                                  rng_stream(config.seed, STREAM_INIT), config.init_scale)
-        before = dataset_loss(untrained, prep, config)
+
+        def mean_loss(model):
+            return sum(float(teacher_forced(model, p, config, training=False,
+                                            recording=False).loss.value)
+                       for p in prep) / len(prep)
+
+        before = mean_loss(untrained)
         outcome = train(corpus, config, ontology)
-        after = dataset_loss(outcome.checkpoint.model, prep, config)
+        after = mean_loss(outcome.checkpoint.model)
         assert after < before
 
     def test_identical_seeds_identical_logs(self, small_corpus):
@@ -287,6 +294,14 @@ class TestRunMatrix:
                        cell_fn=self.stub)
 
 
+CONFIG_KEYS = list(TrainConfig().to_json())
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner,
+                                                                 max_size=3),
+    max_leaves=6)
+
+
 class TestConfig:
     def test_defaults_are_reference_operating_point(self):
         config = TrainConfig()
@@ -309,3 +324,24 @@ class TestConfig:
     def test_bad_dropout_rejected(self):
         with pytest.raises(ConfigError):
             TrainConfig(dropout=1.0).validate()
+
+    @pytest.mark.parametrize("raw", [[1, 2], "hidden", {"bogus": 1}, {"hidden": "100"},
+                                     {"hidden": 10.0}, {"seed": True}, {"mode": None},
+                                     {"lr_scratch": float("nan")}])
+    def test_from_json_rejects_malformed(self, raw):
+        with pytest.raises(ConfigError):
+            TrainConfig.from_json(raw)
+
+    def test_from_json_accepts_ints_for_floats_and_null_clip(self):
+        config = TrainConfig.from_json({"dropout": 0, "clip_norm": None})
+        assert config.dropout == 0 and config.clip_norm is None
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(JSON_VALUES, st.dictionaries(
+        st.sampled_from(CONFIG_KEYS) | st.text(max_size=8), JSON_VALUES, max_size=6)))
+    def test_from_json_validates_or_raises_config_error(self, raw):
+        try:
+            config = TrainConfig.from_json(raw)
+        except ConfigError:
+            return
+        config.validate()
