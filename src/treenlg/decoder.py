@@ -11,6 +11,12 @@ encoded tree: per layer (domains, acts, slots), dot-product scores against
 the activated node states are softmax-normalised into a distribution.  The
 argmax triple names the placeholder, and the three distributions are fed
 into the next step's input as a record of what was just generated.
+
+``make_feedback_input``, ``step`` and ``attend`` are the only definition of
+this math, for training and decoding alike.  Each computes its forward pass
+in numpy over one hypothesis ([n] inputs) or a stack of K hypotheses
+([K, n], on a non-recording tape only) and registers a few fused ops with
+closed-form adjoints instead of one op per gate.
 """
 
 from __future__ import annotations
@@ -22,21 +28,14 @@ import numpy as np
 from .engine import (
     Node,
     ParamBinding,
-    add,
-    concat,
-    dot,
-    dropout,
-    matmul,
-    mul,
-    neg,
-    row,
-    scatter,
-    sigmoid,
-    slice_1d,
-    softmax,
-    tanh,
+    Tape,
+    dropout_mask,
+    init_uniform,
+    logistic,
+    slice_last,
+    softmax_last,
 )
-from .errors import ContractError
+from .errors import ContractError, DimensionError
 from .semantics import Ontology
 from .tree import EncodedTree
 
@@ -46,30 +45,43 @@ STATE_GATES = ("r", "w", "d")
 PLACEHOLDER = "@"
 
 
+def decoder_shapes(vocab_size: int, hidden: int,
+                   feedback_size: int) -> dict[str, tuple[int, ...]]:
+    x_dim = hidden + feedback_size
+    shapes = {"dec.emb": (vocab_size, hidden)}
+    for gate in CELL_GATES:
+        shapes[f"dec.{gate}.x"] = (hidden, x_dim)
+        shapes[f"dec.{gate}.h"] = (hidden, hidden)
+        shapes[f"dec.{gate}.b"] = (hidden,)
+    for gate in STATE_GATES:
+        shapes[f"dec.{gate}.x"] = (hidden, x_dim)
+        shapes[f"dec.{gate}.h"] = (hidden, hidden)
+        shapes[f"dec.{gate}.s"] = (hidden, hidden)
+        shapes[f"dec.{gate}.b"] = (hidden,)
+    shapes["dec.out.w"] = (vocab_size, hidden)
+    return shapes
+
+
 def init_decoder_params(vocab_size: int, hidden: int, feedback_size: int,
                         rng: np.random.Generator, scale: float = 0.1) -> dict[str, np.ndarray]:
-    x_dim = hidden + feedback_size
-    params = {"dec.emb": rng.uniform(-scale, scale, size=(vocab_size, hidden))}
-    for gate in CELL_GATES:
-        params[f"dec.{gate}.x"] = rng.uniform(-scale, scale, size=(hidden, x_dim))
-        params[f"dec.{gate}.h"] = rng.uniform(-scale, scale, size=(hidden, hidden))
-        params[f"dec.{gate}.b"] = np.zeros(hidden)
-    for gate in STATE_GATES:
-        params[f"dec.{gate}.x"] = rng.uniform(-scale, scale, size=(hidden, x_dim))
-        params[f"dec.{gate}.h"] = rng.uniform(-scale, scale, size=(hidden, hidden))
-        params[f"dec.{gate}.s"] = rng.uniform(-scale, scale, size=(hidden, hidden))
-        params[f"dec.{gate}.b"] = np.zeros(hidden)
-    params["dec.out.w"] = rng.uniform(-scale, scale, size=(vocab_size, hidden))
-    return params
+    return init_uniform(decoder_shapes(vocab_size, hidden, feedback_size), rng, scale)
 
 
 @dataclass
 class DecoderState:
-    """Hidden state, memory cell and semantic state, all hidden-width."""
+    """Hidden state, memory cell and semantic state, all hidden-width: [H]
+    for one hypothesis, [K, H] for a stack of K."""
 
     h: Node
     c: Node
     s: Node
+
+    def take(self, rows) -> "DecoderState":
+        """The given rows of the state, stacked, as leaves of its tape; a
+        one-hypothesis state counts as a stack of one."""
+        tape = self.h.tape
+        return DecoderState(*(tape.leaf(np.atleast_2d(n.value)[rows])
+                              for n in (self.h, self.c, self.s)))
 
 
 def initial_state(encoded: EncodedTree, hidden: int, binding: ParamBinding) -> DecoderState:
@@ -84,38 +96,91 @@ _S_STACK = tuple(f"dec.{g}.s" for g in STATE_GATES)
 _B_JOIN = tuple(f"dec.{g}.b" for g in _ALL_GATES)
 
 
+def _check_stack(tape: Tape, *values: np.ndarray) -> None:
+    """Inputs are one hypothesis ([n]) or a stack of them ([K, n]); the
+    fused adjoints below are written for one, so a recording tape takes
+    only that."""
+    for v in values:
+        if v.ndim not in (1, 2) or v.shape[:-1] != values[0].shape[:-1]:
+            raise DimensionError(f"decoder inputs must share a leading axis, got "
+                                 f"{[u.shape for u in values]}")
+        if v.ndim == 2 and tape.recording:
+            raise ContractError("stacked (2-d) decoder inputs need a non-recording tape")
+
+
 def step(binding: ParamBinding, x: Node, state: DecoderState,
          dropout_rate: float = 0.0, training: bool = False,
          rng: np.random.Generator | None = None) -> tuple[DecoderState, Node]:
-    """One decoder step: returns the new state and the word distribution.
+    """One decoder step for one hypothesis ([H] inputs) or for a stack of
+    them ([K, H]): returns the new state and the word distribution(s).
 
-    The seven gate pre-activations share two stacked matmuls (input and
-    hidden paths); the three semantic-state gates add a third against the
-    previous semantic state."""
-    hidden = state.h.shape[0]
-    z = add(add(matmul(binding.stacked(_X_STACK), x),
-                matmul(binding.stacked(_H_STACK), state.h)),
-            binding.joined(_B_JOIN))
-    zs = matmul(binding.stacked(_S_STACK), state.s)
+    Two fused ops carry it.  The cell op computes all seven gates (two
+    stacked matmuls for the input and hidden paths, a third against the
+    previous semantic state for the reading, writing and semantic-update
+    gates), the memory cell, the semantic state and the hidden state, and
+    holds them packed as [h | c | s].  The output op applies dropout, the
+    vocabulary projection and the softmax."""
+    tape = binding.tape
+    wx, wh = binding.stacked(_X_STACK), binding.stacked(_H_STACK)
+    ws, b = binding.stacked(_S_STACK), binding.joined(_B_JOIN)
+    hidden = wh.shape[1]
+    _check_stack(tape, x.value, state.h.value, state.c.value, state.s.value)
+    if x.shape[-1] != wx.shape[1] or any(n.shape[-1] != hidden
+                                         for n in (state.h, state.c, state.s)):
+        raise DimensionError(f"decoder step expects input width {wx.shape[1]} and state "
+                             f"width {hidden}, got {x.shape} and {state.h.shape}")
+    packed = _cell(tape, x, state, wx, wh, ws, b, hidden)
+    h, c, s = (slice_last(packed, k * hidden, (k + 1) * hidden) for k in range(3))
+    mask = dropout_mask(h.shape, dropout_rate, training, rng)
+    return DecoderState(h=h, c=c, s=s), _output(binding["dec.out.w"], h, mask)
 
-    i = sigmoid(slice_1d(z, 0, hidden))
-    f = sigmoid(slice_1d(z, hidden, 2 * hidden))
-    o = sigmoid(slice_1d(z, 2 * hidden, 3 * hidden))
-    g = tanh(slice_1d(z, 3 * hidden, 4 * hidden))
-    c = add(mul(i, g), mul(f, state.c))
 
-    z_state = add(slice_1d(z, 4 * hidden, 7 * hidden), zs)
-    r = sigmoid(slice_1d(z_state, 0, hidden))
-    w = sigmoid(slice_1d(z_state, hidden, 2 * hidden))
-    d = tanh(slice_1d(z_state, 2 * hidden, 3 * hidden))
-    s = add(mul(w, d), mul(r, state.s))
+def _cell(tape: Tape, x: Node, state: DecoderState, wx: Node, wh: Node, ws: Node,
+          b: Node, hidden: int) -> Node:
+    H = hidden
+    x_v, h_v, c_v, s_v = x.value, state.h.value, state.c.value, state.s.value
+    z = x_v @ wx.value.T + h_v @ wh.value.T + b.value
+    ifo = logistic(z[..., :3 * H])
+    i, f, o = ifo[..., :H], ifo[..., H:2 * H], ifo[..., 2 * H:]
+    g = np.tanh(z[..., 3 * H:4 * H])
+    c = i * g + f * c_v
+    z_state = z[..., 4 * H:] + s_v @ ws.value.T
+    rw = logistic(z_state[..., :2 * H])
+    r, w = rw[..., :H], rw[..., H:]
+    d = np.tanh(z_state[..., 2 * H:])
+    s = w * d + r * s_v
+    tc, ts = np.tanh(c), np.tanh(s)
+    h = o * tc + (1.0 - o) * ts
 
-    one_minus_o = add(neg(o), 1.0)
-    h = add(mul(o, tanh(c)), mul(one_minus_o, tanh(s)))
+    def vjp(grad: np.ndarray):
+        gh, gc, gs = grad[:H], grad[H:2 * H], grad[2 * H:]
+        dc = gc + gh * o * (1.0 - tc * tc)
+        ds = gs + gh * (1.0 - o) * (1.0 - ts * ts)
+        dz = np.concatenate([dc * g * i * (1.0 - i),
+                             dc * c_v * f * (1.0 - f),
+                             gh * (tc - ts) * o * (1.0 - o),
+                             dc * i * (1.0 - g * g),
+                             ds * s_v * r * (1.0 - r),
+                             ds * d * w * (1.0 - w),
+                             ds * w * (1.0 - d * d)])
+        dz_state = dz[4 * H:]
+        return (dz @ wx.value, dz @ wh.value, dc * f, ds * r + dz_state @ ws.value,
+                np.outer(dz, x_v), np.outer(dz, h_v), np.outer(dz_state, s_v), dz)
 
-    h_out = dropout(h, dropout_rate, training=training, rng=rng)
-    probs = softmax(matmul(binding["dec.out.w"], h_out))
-    return DecoderState(h=h, c=c, s=s), probs
+    return tape.op(np.concatenate([h, c, s], axis=-1),
+                   (x, state.h, state.c, state.s, wx, wh, ws, b), vjp)
+
+
+def _output(w_out: Node, h: Node, mask: np.ndarray | None) -> Node:
+    h_out = h.value if mask is None else h.value * mask
+    probs = softmax_last(h_out @ w_out.value.T)
+
+    def vjp(grad: np.ndarray):
+        d_logits = probs * (grad - np.dot(grad, probs))
+        d_h = d_logits @ w_out.value
+        return np.outer(d_logits, h_out), (d_h if mask is None else d_h * mask)
+
+    return h.tape.op(probs, (w_out, h), vjp)
 
 
 @dataclass
@@ -136,20 +201,41 @@ _LAYER_SIZE = {"domain": "domains", "act": "acts", "slot": "slots"}
 
 
 def attend(s: Node, encoded: EncodedTree, ontology: Ontology) -> AttentionDists:
-    """Score the semantic state against each layer's activated node states
-    and normalise per layer."""
+    """Score the semantic state ([H], or [K, H] for a stack of hypotheses)
+    against each layer's activated node states and normalise per layer.
+
+    One fused op per layer: the label states, in sorted label order, form
+    an [labels, H] matrix, so the scores are one matrix product; the
+    softmax is scattered to the layer's canonical label positions."""
+    _check_stack(s.tape, s.value)
     out = {}
     for layer in ("domain", "act", "slot"):
         states = encoded.layer_states[layer]
         if not states:
             raise ContractError(f"no activated {layer} nodes to attend over")
         labels = sorted(states)
-        scores = concat([dot(s, states[label]) for label in labels])
-        probs = softmax(scores)
         index_of = getattr(ontology, _LAYER_INDEX[layer])
         size = len(getattr(ontology, _LAYER_SIZE[layer]))
-        out[layer] = scatter(probs, [index_of(label) for label in labels], size)
+        out[layer] = _layer_attention(s, [states[label] for label in labels],
+                                      [index_of(label) for label in labels], size)
     return AttentionDists(out["domain"], out["act"], out["slot"])
+
+
+def _layer_attention(s: Node, label_states: list[Node], index: list[int],
+                     size: int) -> Node:
+    m = np.stack([n.value for n in label_states])
+    if m.shape[1:] != s.shape[-1:]:
+        raise DimensionError(f"attention state width {s.shape} vs label states {m.shape}")
+    probs = softmax_last(s.value @ m.T)
+    value = np.zeros(s.shape[:-1] + (size,))
+    value[..., index] = probs
+
+    def vjp(grad: np.ndarray):
+        gp = grad[index]
+        d_scores = probs * (gp - np.dot(gp, probs))
+        return (d_scores @ m,) + tuple(d_scores[j] * s.value for j in range(len(index)))
+
+    return s.tape.op(value, (s, *label_states), vjp)
 
 
 @dataclass
@@ -163,6 +249,10 @@ class TraceEntry:
     domain: str
     act: str
     slot: str
+
+    @property
+    def triple(self) -> tuple[str, str, str]:
+        return (self.domain, self.act, self.slot)
 
 
 @dataclass
@@ -201,28 +291,48 @@ class AttentionTrace:
         return "\n".join(lines) + "\n"
 
 
-def assemble_token(dists: AttentionDists, ontology: Ontology,
-                   step_index: int) -> tuple[tuple[str, str, str], TraceEntry]:
-    """Argmax each distribution; ties fall to the canonically first label."""
-    d_arr, a_arr, s_arr = dists.as_arrays()
-    domain = ontology.domains[int(np.argmax(d_arr))]
-    act = ontology.acts[int(np.argmax(a_arr))]
-    slot = ontology.slots[int(np.argmax(s_arr))]
-    entry = TraceEntry(step_index, d_arr, a_arr, s_arr, domain, act, slot)
-    return (domain, act, slot), entry
+def resolve_placeholder(step_index: int, domain_dist: np.ndarray, act_dist: np.ndarray,
+                        slot_dist: np.ndarray, ontology: Ontology) -> TraceEntry:
+    """Name a placeholder by the argmax of each distribution; ties fall to
+    the canonically first label."""
+    return TraceEntry(step_index, domain_dist, act_dist, slot_dist,
+                      ontology.domains[int(np.argmax(domain_dist))],
+                      ontology.acts[int(np.argmax(act_dist))],
+                      ontology.slots[int(np.argmax(slot_dist))])
 
 
-def make_feedback_input(word_id: int, dists: AttentionDists | None,
+def make_feedback_input(word_id, dists: AttentionDists | None,
                         binding: ParamBinding, feedback_size: int,
                         dropout_rate: float = 0.0, training: bool = False,
                         rng: np.random.Generator | None = None) -> Node:
     """Decoder input: word embedding plus the feedback block, which holds the
     previous step's three attention distributions right after a placeholder
-    was emitted and zeros at every other step."""
-    word = dropout(row(binding["dec.emb"], word_id), dropout_rate,
-                   training=training, rng=rng)
-    if dists is None:
-        feedback = binding.zeros(feedback_size)
-    else:
-        feedback = concat([dists.domain, dists.act, dists.slot])
-    return concat([word, feedback])
+    was emitted and zeros at every other step.
+
+    ``word_id`` is one id, or an array of K ids for a stack of hypotheses;
+    then ``dists`` holds [K, n] distributions, zero in the rows of
+    hypotheses whose last word was not a placeholder.  One fused op: the
+    embedding lookup, its dropout and the concatenation."""
+    emb = binding["dec.emb"]
+    ids = np.asarray(word_id, dtype=np.intp)
+    if ids.size and not (0 <= ids.min() and ids.max() < emb.shape[0]):
+        raise ContractError(f"word id out of range for a vocabulary of {emb.shape[0]}")
+    word = emb.value[ids]
+    mask = dropout_mask(word.shape, dropout_rate, training, rng)
+    if mask is not None:
+        word = word * mask
+    parts = () if dists is None else (dists.domain, dists.act, dists.slot)
+    _check_stack(binding.tape, word, *(p.value for p in parts))
+    feedback = [p.value for p in parts] or [np.zeros(word.shape[:-1] + (feedback_size,))]
+    hidden = word.shape[-1]
+
+    def vjp(grad: np.ndarray):
+        d_emb = np.zeros_like(emb.value)
+        d_emb[ids] = grad[:hidden] if mask is None else grad[:hidden] * mask
+        grads, offset = [d_emb], hidden
+        for p in parts:
+            grads.append(grad[offset:offset + p.shape[0]])
+            offset += p.shape[0]
+        return tuple(grads)
+
+    return binding.tape.op(np.concatenate([word] + feedback, axis=-1), (emb, *parts), vjp)

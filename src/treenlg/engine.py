@@ -9,7 +9,6 @@ NaN/Inf are rejected at node creation so a blow-up is caught where it happens.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -22,9 +21,9 @@ Array = np.ndarray
 
 def _as_f64(value) -> Array:
     arr = np.asarray(value, dtype=np.float64)
-    # One-pass finiteness probe: any NaN/Inf survives the sum.  A sum that
-    # overflows on finite values falls back to the element-wise check.
-    if not math.isfinite(float(arr.sum())) and not np.isfinite(arr).all():
+    # Element-wise, not a probe of the sum: a sum of finite values can
+    # overflow (and warn), and this costs the same at the sizes used here.
+    if not np.isfinite(arr).all():
         raise DomainError("non-finite values in tensor")
     return arr
 
@@ -158,14 +157,6 @@ class ParamBinding:
             self._stacks[key] = node
         return node
 
-    def zeros(self, size: int) -> Node:
-        key = ("zeros", str(size))
-        node = self._stacks.get(key)
-        if node is None:
-            node = self.tape.leaf(np.zeros(size))
-            self._stacks[key] = node
-        return node
-
 
 def _same_tape(*nodes: Node) -> Tape:
     tape = nodes[0].tape
@@ -251,11 +242,21 @@ def dot(a: Node, b: Node) -> Node:
     return tape.op(value, (a, b), vjp)
 
 
-def sigmoid(a: Node) -> Node:
-    # Stable for large |x|: both branches exponentiate -|x| only.
-    x = a.value
+def logistic(x: Array) -> Array:
+    """Element-wise sigmoid, stable for large |x|: both branches
+    exponentiate -|x| only."""
     ex = np.exp(-np.abs(x))
-    out = np.where(x >= 0, 1.0 / (1.0 + ex), ex / (1.0 + ex))
+    return np.where(x >= 0, 1.0 / (1.0 + ex), ex / (1.0 + ex))
+
+
+def softmax_last(x: Array) -> Array:
+    """Softmax over the last axis, max-subtracted for stability."""
+    e = np.exp(x - np.max(x, axis=-1, keepdims=True))
+    return e / np.sum(e, axis=-1, keepdims=True)
+
+
+def sigmoid(a: Node) -> Node:
+    out = logistic(a.value)
 
     def vjp(g: Array):
         return (g * out * (1.0 - out),)
@@ -340,15 +341,15 @@ def vstack(parts: Sequence[Node]) -> Node:
     return tape.op(value, tuple(parts), vjp)
 
 
-def slice_1d(a: Node, start: int, stop: int) -> Node:
-    """Contiguous segment of a vector."""
-    if a.value.ndim != 1 or not 0 <= start <= stop <= a.value.size:
+def slice_last(a: Node, start: int, stop: int) -> Node:
+    """Contiguous segment along the last axis."""
+    if a.value.ndim == 0 or not 0 <= start <= stop <= a.shape[-1]:
         raise DimensionError(f"bad slice [{start}:{stop}] of shape {a.shape}")
-    value = a.value[start:stop]
+    value = a.value[..., start:stop]
 
     def vjp(g: Array):
         z = np.zeros_like(a.value)
-        z[start:stop] = g
+        z[..., start:stop] = g
         return (z,)
 
     return a.tape.op(value, (a,), vjp)
@@ -358,9 +359,7 @@ def softmax(a: Node) -> Node:
     """Probability vector over a 1-d input, max-subtracted for stability."""
     if a.value.ndim != 1 or a.value.size == 0:
         raise DimensionError(f"softmax expects a non-empty vector, got shape {a.shape}")
-    shifted = a.value - np.max(a.value)
-    e = np.exp(shifted)
-    out = e / np.sum(e)
+    out = softmax_last(a.value)
 
     def vjp(g: Array):
         return (out * (g - np.dot(g, out)),)
@@ -416,21 +415,39 @@ def scatter(a: Node, indices: Sequence[int], size: int) -> Node:
     return a.tape.op(value, (a,), vjp)
 
 
-def dropout(a: Node, rate: float, training: bool, rng: np.random.Generator | None = None) -> Node:
-    """Inverted dropout: mask then rescale by 1/(1-rate); identity in eval mode."""
+def dropout_mask(shape: tuple[int, ...], rate: float, training: bool,
+                 rng: np.random.Generator | None = None) -> Array | None:
+    """Inverted-dropout mask, already rescaled by 1/(1-rate), drawn as one
+    ``rng.random(shape)``; None (and no draw) in eval mode or at rate 0."""
     if not 0.0 <= rate < 1.0:
         raise ParameterError(f"dropout rate must be in [0, 1), got {rate}")
     if not training or rate == 0.0:
-        return a
+        return None
     if rng is None:
         raise ParameterError("training-mode dropout needs an rng")
-    mask = (rng.random(a.shape) >= rate) / (1.0 - rate)
+    return (rng.random(shape) >= rate) / (1.0 - rate)
+
+
+def dropout(a: Node, rate: float, training: bool, rng: np.random.Generator | None = None) -> Node:
+    """Inverted dropout: mask then rescale by 1/(1-rate); identity in eval mode."""
+    mask = dropout_mask(a.shape, rate, training, rng)
+    if mask is None:
+        return a
     value = a.value * mask
 
     def vjp(g: Array):
         return (g * mask,)
 
     return a.tape.op(value, (a,), vjp)
+
+
+def init_uniform(shapes: Mapping[str, tuple[int, ...]], rng: np.random.Generator,
+                 scale: float = 0.1) -> dict[str, Array]:
+    """Parameters drawn uniformly from [-scale, scale] in the order of
+    ``shapes``; biases (names ending in ".b") start at zero and draw nothing."""
+    return {name: np.zeros(shape) if name.endswith(".b")
+            else rng.uniform(-scale, scale, size=shape)
+            for name, shape in shapes.items()}
 
 
 class Adam:
@@ -472,11 +489,13 @@ def clip_gradients(grads: dict[str, Array], max_norm: float) -> float:
 
     Returns the pre-clip norm.
     """
+    if not max_norm > 0.0:  # also rejects NaN
+        raise ParameterError(f"clip norm must be positive, got {max_norm}")
     total = 0.0
     for g in grads.values():
         total += float(np.sum(g * g))
     norm = float(np.sqrt(total))
-    if norm > max_norm > 0.0:
+    if norm > max_norm:
         scale = max_norm / norm
         for g in grads.values():
             g *= scale

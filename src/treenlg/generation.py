@@ -1,15 +1,26 @@
-"""Greedy and beam-search decoding with placeholder resolution.
+"""Beam-search and greedy decoding with placeholder resolution.
 
-Beam search keeps the ``beam_size`` best unfinished continuations, taking the
-top ``beam_size`` next tokens per live hypothesis; a hypothesis finishes when
-it selects the end token.  With beam size 1 this is greedy decoding by
-construction, and ``greedy_decode`` is a separate straight-line loop so the
-two can be checked against each other.
+The search rule:
 
-In attention mode the emitted word is the bare placeholder "@"; the step's
-semantic state immediately queries the encoded tree, the argmax triple names
-the token, and the three distributions ride along as the next step's input.
-Scores are plain sums of chosen-token log probabilities, unnormalised.
+* Every live hypothesis is advanced by one decoder step; all of them share
+  one stacked ``step`` call per time step, and the children that emit the
+  placeholder share one ``attend`` call.
+* Per parent, the ``beam_size`` best next tokens are taken by a stable sort
+  of the log probabilities, so ties go to the lowest token id.  An end token
+  among them finishes that child at once instead of competing for a live
+  slot.
+* The other children are ordered globally by score (descending), then
+  parent position, then token id, and the first ``beam_size`` stay live.
+* The search stops when no hypothesis is live, when ``max_length`` steps
+  have run, or when ``beam_size`` hypotheses have finished and no live one
+  scores above the worst of them.  If none finished, the live ones are
+  returned, flagged as truncated.
+
+Greedy decoding is the same search at beam size 1.  In attention mode the
+emitted word is the bare placeholder "@"; the step's semantic state
+immediately queries the encoded tree, the argmax triple names the token,
+and the three distributions ride along as the next step's input.  Scores
+are plain sums of chosen-token log probabilities, unnormalised.
 """
 
 from __future__ import annotations
@@ -23,16 +34,16 @@ from .decoder import (
     AttentionTrace,
     PLACEHOLDER,
     TraceEntry,
-    assemble_token,
     attend,
     initial_state,
     make_feedback_input,
+    resolve_placeholder,
     step,
 )
 from .engine import ParamBinding, Tape
 from .errors import ContractError
 from .model import Model
-from .semantics import SemanticRepresentation, lexicalize, token_surface
+from .semantics import Ontology, SemanticRepresentation, lexicalize, token_surface
 
 DEFAULT_BEAM_SIZE = 10
 DEFAULT_MAX_LENGTH = 80
@@ -40,14 +51,12 @@ DEFAULT_MAX_LENGTH = 80
 
 @dataclass
 class Hypothesis:
-    """One partial or finished decode; extension copies, never mutates."""
+    """One partial or finished decode; extension copies, never mutates.
+    ``trace`` holds one entry per emitted placeholder."""
 
     token_ids: tuple[int, ...]
     score: float
-    state: object
-    pending: AttentionDists | None
     trace: tuple[TraceEntry, ...] = ()
-    emitted: tuple[tuple[str, str, str], ...] = ()
     finished: bool = False
     truncated: bool = False
 
@@ -91,7 +100,7 @@ def _delex_text(model: Model, sr: SemanticRepresentation, hyp: Hypothesis) -> st
     if not model.uses_attention:
         return " ".join(words)
     sr_counts = sr.triple_counts()
-    emitted_iter = iter(hyp.emitted)
+    emitted_iter = (entry.triple for entry in hyp.trace)
     seen: dict[tuple[str, str, str], int] = {}
     out = []
     for w in words:
@@ -120,71 +129,73 @@ def _rank(model: Model, sr: SemanticRepresentation, hyps: list[Hypothesis],
     return GenerationResult(ranked)
 
 
-def _advance(model: Model, binding: ParamBinding, hyp: Hypothesis) -> tuple[object, np.ndarray]:
-    """Run one decoder step for a hypothesis; returns (state, log-probs)."""
-    vocab = model.vocab
-    word_id = hyp.token_ids[-1] if hyp.token_ids else vocab.sos_id
-    x = make_feedback_input(word_id, hyp.pending, binding,
-                            model.ontology.feedback_size)
-    new_state, probs = step(binding, x, hyp.state)
-    logp = np.log(np.maximum(probs.value, 1e-300))
-    return new_state, logp
+def _feedback(live: list[Hypothesis], placeholder_id: int | None, ontology: Ontology,
+              tape: Tape) -> AttentionDists | None:
+    """The stacked feedback block: the attention distributions of the last
+    word for hypotheses that just emitted a placeholder, zeros elsewhere."""
+    rows = [k for k, h in enumerate(live)
+            if h.token_ids and h.token_ids[-1] == placeholder_id]
+    if not rows:
+        return None
+    blocks = [np.zeros((len(live), len(labels)))
+              for labels in (ontology.domains, ontology.acts, ontology.slots)]
+    for k in rows:
+        entry = live[k].trace[-1]
+        for block, dist in zip(blocks, (entry.domain_dist, entry.act_dist, entry.slot_dist)):
+            block[k] = dist
+    return AttentionDists(*(tape.leaf(block) for block in blocks))
 
 
-def _extend(model: Model, binding: ParamBinding, encoded, hyp: Hypothesis,
-            new_state, token_id: int, token_score: float,
-            step_index: int) -> Hypothesis:
-    vocab = model.vocab
-    if token_id == vocab.eos_id:
-        return Hypothesis(hyp.token_ids, hyp.score + token_score, new_state, None,
-                          hyp.trace, hyp.emitted, finished=True)
-    pending = None
-    trace = hyp.trace
-    emitted = hyp.emitted
-    if model.uses_attention and vocab.tokens[token_id] == PLACEHOLDER:
-        dists = attend(new_state.s, encoded, model.ontology)
-        triple, entry = assemble_token(dists, model.ontology, step_index)
-        pending = dists
-        trace = trace + (entry,)
-        emitted = emitted + (triple,)
-    return Hypothesis(hyp.token_ids + (token_id,), hyp.score + token_score,
-                      new_state, pending, trace, emitted)
-
-
-def beam_decode(model: Model, sr: SemanticRepresentation,
-                beam_size: int = DEFAULT_BEAM_SIZE,
-                max_length: int = DEFAULT_MAX_LENGTH) -> GenerationResult:
+def _search(model: Model, sr: SemanticRepresentation, beam_size: int,
+            max_length: int) -> GenerationResult:
     if beam_size < 1 or max_length < 1:
         raise ContractError("beam size and max length must be at least 1")
     tape = Tape(recording=False)
     binding = ParamBinding(tape, model.params)
     encoded = model.encode_sr(sr, binding)
-    live = [Hypothesis((), 0.0, initial_state(encoded, model.hidden, binding), None)]
+    vocab, ontology = model.vocab, model.ontology
+    placeholder_id = vocab.index.get(PLACEHOLDER) if model.uses_attention else None
+    state = initial_state(encoded, model.hidden, binding).take([0])
+    live = [Hypothesis((), 0.0)]
     finished: list[Hypothesis] = []
 
     for t in range(max_length):
-        candidates: list[tuple[float, int, int, Hypothesis, object]] = []
-        for parent_idx, hyp in enumerate(live):
-            new_state, logp = _advance(model, binding, hyp)
-            take = min(beam_size, logp.size)
-            # Stable sort so ties go to the lowest token id, like argmax.
-            top = np.argsort(-logp, kind="stable")[:take]
-            for token_id in top:
-                if token_id == model.vocab.eos_id:
-                    # An end token inside a parent's top choices finishes
-                    # immediately instead of competing for a live slot.
-                    child = _extend(model, binding, encoded, hyp, new_state,
-                                    int(token_id), float(logp[token_id]), t)
-                    finished.append(child)
-                    finished = sorted(finished, key=lambda h: -h.score)[:beam_size]
-                else:
-                    candidates.append((hyp.score + logp[token_id], parent_idx,
-                                       int(token_id), hyp, new_state))
-        # Deterministic global order: score desc, then parent, then token id.
-        candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
-        live = [_extend(model, binding, encoded, hyp, new_state, token_id,
-                        score - hyp.score, t)
-                for score, parent_idx, token_id, hyp, new_state in candidates[:beam_size]]
+        words = [h.token_ids[-1] if h.token_ids else vocab.sos_id for h in live]
+        x = make_feedback_input(words, _feedback(live, placeholder_id, ontology, tape),
+                                binding, ontology.feedback_size)
+        state, probs = step(binding, x, state)
+        logp = np.log(np.maximum(probs.value, 1e-300))
+        scores = np.array([h.score for h in live])[:, None] + logp
+        # Stable sort so ties go to the lowest token id, like argmax.
+        top = np.argsort(-logp, axis=1, kind="stable")[:, :beam_size]
+        ends = top == vocab.eos_id
+        for parent in np.nonzero(ends.any(axis=1))[0]:
+            hyp = live[parent]
+            finished.append(Hypothesis(hyp.token_ids, float(scores[parent, vocab.eos_id]),
+                                       hyp.trace, finished=True))
+        parents, cols = np.nonzero(~ends)
+        tokens = top[parents, cols]
+        child_scores = scores[parents, tokens]
+        chosen = np.lexsort((tokens, parents, -child_scores))[:beam_size]
+        parents, tokens, child_scores = parents[chosen], tokens[chosen], child_scores[chosen]
+
+        state = state.take(parents)
+        emitted = [k for k, tok in enumerate(tokens) if tok == placeholder_id]
+        resolved: dict[int, tuple[TraceEntry]] = {}
+        if emitted:
+            dists = attend(tape.leaf(state.s.value[emitted]), encoded, ontology)
+            for j, k in enumerate(emitted):
+                resolved[k] = (resolve_placeholder(t, dists.domain.value[j].copy(),
+                                                   dists.act.value[j].copy(),
+                                                   dists.slot.value[j].copy(), ontology),)
+        live = [Hypothesis(live[p].token_ids + (int(tok),), float(score),
+                           live[p].trace + resolved.get(k, ()))
+                for k, (p, tok, score) in enumerate(zip(parents, tokens, child_scores))]
+
+        # Keeping the best beam_size after each step selects the same set as
+        # re-ranking on every end token; the stop test reads the worst of them.
+        finished.sort(key=lambda h: -h.score)
+        del finished[beam_size:]
         if not live:
             break
         if len(finished) >= beam_size and max(h.score for h in live) <= finished[-1].score:
@@ -199,22 +210,13 @@ def beam_decode(model: Model, sr: SemanticRepresentation,
     return _rank(model, sr, finished, beam_size)
 
 
+def beam_decode(model: Model, sr: SemanticRepresentation,
+                beam_size: int = DEFAULT_BEAM_SIZE,
+                max_length: int = DEFAULT_MAX_LENGTH) -> GenerationResult:
+    return _search(model, sr, beam_size, max_length)
+
+
 def greedy_decode(model: Model, sr: SemanticRepresentation,
                   max_length: int = DEFAULT_MAX_LENGTH) -> GenerationResult:
-    """Argmax token per step; placeholder resolution identical to beam search."""
-    if max_length < 1:
-        raise ContractError("max length must be at least 1")
-    tape = Tape(recording=False)
-    binding = ParamBinding(tape, model.params)
-    encoded = model.encode_sr(sr, binding)
-    hyp = Hypothesis((), 0.0, initial_state(encoded, model.hidden, binding), None)
-    for t in range(max_length):
-        new_state, logp = _advance(model, binding, hyp)
-        token_id = int(np.argmax(logp))
-        hyp = _extend(model, binding, encoded, hyp, new_state, token_id,
-                      float(logp[token_id]), t)
-        if hyp.finished:
-            break
-    if not hyp.finished:
-        hyp.truncated = True
-    return _rank(model, sr, [hyp], beam_size=1)
+    """Argmax token per step: the search at beam size 1."""
+    return _search(model, sr, 1, max_length)

@@ -20,8 +20,8 @@ import numpy as np
 from . import decoder as dec
 from . import tree as enc
 from .decoder import PLACEHOLDER
-from .engine import ParamBinding
-from .errors import CompatibilityError, ConfigError, ContractError
+from .engine import ParamBinding, init_uniform
+from .errors import CompatibilityError, ConfigError, ContractError, ParseError
 from .semantics import (
     Example,
     Ontology,
@@ -127,6 +127,16 @@ def prepare_example(example: Example, mode: str, ontology: Ontology) -> Prepared
     return PreparedExample(example, out_tokens, labels, usable)
 
 
+def param_shapes(mode: str, ontology: Ontology, vocab_size: int,
+                 hidden: int) -> dict[str, tuple[int, ...]]:
+    """Every parameter tensor's shape, in initialisation order: the encoder
+    of the mode, then the decoder."""
+    shapes = (enc.encoder_shapes(ontology, hidden) if mode in ("tree+att", "tree")
+              else enc.flat_shapes(ontology, hidden))
+    shapes.update(dec.decoder_shapes(vocab_size, hidden, ontology.feedback_size))
+    return shapes
+
+
 class Model:
     """Parameters plus the lookup tables they are shaped by."""
 
@@ -152,16 +162,10 @@ class Model:
     @staticmethod
     def create(mode: str, ontology: Ontology, vocab: Vocabulary, hidden: int,
                rng: np.random.Generator, scale: float = 0.1) -> "Model":
-        params: dict[str, np.ndarray] = {}
-        if mode in ("tree+att", "tree"):
-            params.update(enc.init_encoder_params(ontology, hidden, rng, scale))
-        elif mode == "flat-baseline":
-            params.update(enc.init_flat_params(ontology, hidden, rng, scale))
-        else:
+        if mode not in MODES:
             raise ConfigError(f"unknown mode {mode!r}, expected one of {MODES}")
-        params.update(dec.init_decoder_params(len(vocab), hidden,
-                                              ontology.feedback_size, rng, scale))
-        return Model(mode, hidden, ontology, vocab, params)
+        return Model(mode, hidden, ontology, vocab,
+                     init_uniform(param_shapes(mode, ontology, len(vocab), hidden), rng, scale))
 
     def encode_sr(self, sr: SemanticRepresentation, binding: ParamBinding) -> enc.EncodedTree:
         if self.uses_tree:
@@ -247,6 +251,16 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         ontology = Ontology(header["ontology"])
         if ontology.fingerprint() != header["ontology_fingerprint"]:
             raise CompatibilityError(f"{path}: ontology fingerprint mismatch")
+        mode, hidden, vocab = header["mode"], header["hidden"], Vocabulary(header["vocab"])
+        if mode not in MODES:
+            raise CompatibilityError(f"{path}: unknown mode {mode!r}")
+        if isinstance(hidden, bool) or not isinstance(hidden, int) or hidden < 1:
+            raise CompatibilityError(f"{path}: hidden size must be a positive integer, "
+                                     f"got {hidden!r}")
+        specs = {spec["name"]: tuple(spec["shape"]) for spec in header["tensors"]}
+        if len(specs) != len(header["tensors"]):
+            raise CompatibilityError(f"{path}: duplicate tensor names")
+        _check_tensors(path, specs, param_shapes(mode, ontology, len(vocab), hidden))
         params: dict[str, np.ndarray] = {}
         for spec in header["tensors"]:
             shape = tuple(spec["shape"])
@@ -254,8 +268,24 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
             arr = np.frombuffer(data, dtype="<f8", count=count, offset=offset).reshape(shape)
             params[spec["name"]] = arr.astype(np.float64).copy()
             offset += count * 8
-        model = Model(header["mode"], header["hidden"], ontology,
-                      Vocabulary(header["vocab"]), params)
+        model = Model(mode, hidden, ontology, vocab, params)
         return Checkpoint(model, header["config"], header["epoch"], header["dev_metrics"])
-    except (KeyError, ValueError, TypeError, struct.error, json.JSONDecodeError) as exc:
+    except (KeyError, ValueError, TypeError, ContractError, ParseError, struct.error,
+            json.JSONDecodeError) as exc:
         raise CompatibilityError(f"{path}: corrupt checkpoint ({exc})") from exc
+
+
+def _check_tensors(path: str | Path, got: dict[str, tuple[int, ...]],
+                   expected: dict[str, tuple[int, ...]]) -> None:
+    """The header's tensor list must name exactly the parameters of the
+    checkpoint's mode, each in the shape its hidden size, vocabulary and
+    ontology imply."""
+    missing = sorted(set(expected) - set(got))
+    extra = sorted(set(got) - set(expected))
+    if missing or extra:
+        raise CompatibilityError(f"{path}: tensors do not match the model "
+                                 f"(missing {missing}, unexpected {extra})")
+    for name, shape in expected.items():
+        if got[name] != shape:
+            raise CompatibilityError(f"{path}: tensor {name!r} has shape {list(got[name])}, "
+                                     f"expected {list(shape)}")

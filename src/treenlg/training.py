@@ -85,6 +85,9 @@ class TrainConfig:
         for name in ("lr_scratch", "lr_adapt", "init_scale"):
             if not getattr(self, name) > 0:  # also rejects NaN
                 raise ConfigError(f"{name} must be positive")
+        if self.clip_norm is not None and not self.clip_norm > 0:
+            raise ConfigError(f"clip_norm must be positive (null turns clipping off), "
+                              f"got {self.clip_norm}")
 
     def to_json(self) -> dict:
         return asdict(self)

@@ -14,7 +14,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import Node, ParamBinding, add, matmul, mul, row, sigmoid, slice_1d, tanh
+from .engine import (
+    Node,
+    ParamBinding,
+    add,
+    init_uniform,
+    matmul,
+    mul,
+    row,
+    sigmoid,
+    slice_last,
+    tanh,
+)
 from .errors import ContractError
 from .semantics import (
     NO_SLOT_PROPERTY,
@@ -131,15 +142,18 @@ def build_tree(sr: SemanticRepresentation, ontology: Ontology) -> SemTree:
     return SemTree(nodes)
 
 
+def encoder_shapes(ontology: Ontology, hidden: int) -> dict[str, tuple[int, ...]]:
+    shapes = {"enc.emb": (len(ontology.embedding_tokens()), hidden)}
+    for gate in GATES:
+        shapes[f"enc.{gate}.e"] = (hidden, hidden)
+        shapes[f"enc.{gate}.h"] = (hidden, hidden)
+        shapes[f"enc.{gate}.b"] = (hidden,)
+    return shapes
+
+
 def init_encoder_params(ontology: Ontology, hidden: int,
                         rng: np.random.Generator, scale: float = 0.1) -> dict[str, np.ndarray]:
-    tokens = ontology.embedding_tokens()
-    params = {"enc.emb": rng.uniform(-scale, scale, size=(len(tokens), hidden))}
-    for gate in GATES:
-        params[f"enc.{gate}.e"] = rng.uniform(-scale, scale, size=(hidden, hidden))
-        params[f"enc.{gate}.h"] = rng.uniform(-scale, scale, size=(hidden, hidden))
-        params[f"enc.{gate}.b"] = np.zeros(hidden)
-    return params
+    return init_uniform(encoder_shapes(ontology, hidden), rng, scale)
 
 
 class EncodedTree:
@@ -180,12 +194,12 @@ def encode(tree: SemTree, binding: ParamBinding,
         if h_sum is not None:
             z = add(z, matmul(binding.stacked(_H_STACK), h_sum))
         hidden = e.shape[0]
-        i_gate = sigmoid(slice_1d(z, 0, hidden))
-        o_gate = sigmoid(slice_1d(z, 2 * hidden, 3 * hidden))
-        g_gate = tanh(slice_1d(z, 3 * hidden, 4 * hidden))
+        i_gate = sigmoid(slice_last(z, 0, hidden))
+        o_gate = sigmoid(slice_last(z, 2 * hidden, 3 * hidden))
+        g_gate = tanh(slice_last(z, 3 * hidden, 4 * hidden))
         c = mul(i_gate, g_gate)
         if c_sum is not None:
-            f_gate = sigmoid(slice_1d(z, hidden, 2 * hidden))
+            f_gate = sigmoid(slice_last(z, hidden, 2 * hidden))
             c = add(c, mul(f_gate, c_sum))
         h = mul(o_gate, tanh(c))
         states[i] = (h, c)
@@ -201,11 +215,13 @@ def encode(tree: SemTree, binding: ParamBinding,
     return EncodedTree(states[0][0], layer_states, states)
 
 
+def flat_shapes(ontology: Ontology, hidden: int) -> dict[str, tuple[int, ...]]:
+    return {"flat.w": (hidden, len(ontology.triples)), "flat.b": (hidden,)}
+
+
 def init_flat_params(ontology: Ontology, hidden: int,
                      rng: np.random.Generator, scale: float = 0.1) -> dict[str, np.ndarray]:
-    n = len(ontology.triples)
-    return {"flat.w": rng.uniform(-scale, scale, size=(hidden, n)),
-            "flat.b": np.zeros(hidden)}
+    return init_uniform(flat_shapes(ontology, hidden), rng, scale)
 
 
 def triple_indicator(sr: SemanticRepresentation, ontology: Ontology) -> np.ndarray:

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from treenlg.cli import main
@@ -132,6 +133,14 @@ class TestTrain:
         assert len(capsys.readouterr().err.strip().splitlines()) == 1
 
 
+    def test_non_positive_clip_norm_exits_2(self, data_dir, tmp_path, capsys):
+        code = main(["train", "--corpus", str(data_dir / "corpus.jsonl"),
+                     "--ontology", str(data_dir / "ontology.json"),
+                     "--out", str(tmp_path / "run"), "--clip-norm", "-1"])
+        assert code == 2
+        assert "clip_norm" in capsys.readouterr().err
+
+
 class TestAdapt:
     def test_adapts_checkpoint(self, data_dir, small_checkpoint, tmp_path):
         out = tmp_path / "adapted"
@@ -168,6 +177,20 @@ class TestAdapt:
                      "--out", str(tmp_path / "g.jsonl")])
         assert code == 3
         assert "corrupt" in capsys.readouterr().err
+
+
+    def test_misshaped_tensor_exits_3(self, data_dir, small_checkpoint, tmp_path, capsys):
+        ckpt = load_checkpoint(small_checkpoint)
+        hidden = ckpt.model.hidden
+        ckpt.model.params["dec.i.h"] = np.zeros((hidden, hidden - 1))
+        bad = tmp_path / "misshaped.ckpt"
+        save_checkpoint(bad, ckpt.model, ckpt.config, ckpt.epoch, ckpt.dev_metrics)
+        code = main(["generate", "--checkpoint", str(bad),
+                     "--corpus", str(data_dir / "corpus.jsonl"),
+                     "--out", str(tmp_path / "g.jsonl")])
+        err = capsys.readouterr().err.strip().splitlines()
+        assert code == 3
+        assert len(err) == 1 and "dec.i.h" in err[0]
 
 
 class TestGenerateEvaluate:

@@ -5,10 +5,10 @@ from treenlg.decoder import (
     AttentionDists,
     AttentionTrace,
     DecoderState,
-    assemble_token,
     attend,
     init_decoder_params,
     make_feedback_input,
+    resolve_placeholder,
     step,
 )
 from treenlg.engine import ParamBinding, Tape
@@ -165,8 +165,8 @@ class TestAttend:
             q = rng.normal(size=2)
             base = attend(tape.leaf(q), enc, ontology)
             scaled = attend(tape.leaf(q * 7.3), enc, ontology)
-            t1, _ = assemble_token(base, ontology, 0)
-            t2, _ = assemble_token(scaled, ontology, 0)
+            t1 = resolve_placeholder(0, *base.as_arrays(), ontology).triple
+            t2 = resolve_placeholder(0, *scaled.as_arrays(), ontology).triple
             assert t1 == t2
 
 
@@ -179,7 +179,9 @@ class TestAssemble:
         d = np.zeros(len(ontology.domains)); d[ontology.domain_index("attraction")] = 1.0
         a = np.zeros(len(ontology.acts)); a[ontology.act_index("inform")] = 1.0
         s = np.zeros(len(ontology.slots)); s[ontology.slot_index("area")] = 1.0
-        triple, entry = assemble_token(self.dists_for(ontology, tape, d, a, s), ontology, 3)
+        entry = resolve_placeholder(3, *self.dists_for(ontology, tape, d, a, s).as_arrays(),
+                                    ontology)
+        triple = entry.triple
         assert triple == ("attraction", "inform", "area")
         assert f"@{'-'.join(triple)}" == "@attraction-inform-area"
         assert entry.step == 3
@@ -189,15 +191,17 @@ class TestAssemble:
         d = np.full(len(ontology.domains), 0.5)
         a = np.zeros(len(ontology.acts)); a[0] = 1.0
         s = np.zeros(len(ontology.slots)); s[0] = 1.0
-        triple, _ = assemble_token(self.dists_for(ontology, tape, d, a, s), ontology, 0)
-        assert triple[0] == ontology.domains[0]
+        entry = resolve_placeholder(0, *self.dists_for(ontology, tape, d, a, s).as_arrays(),
+                                    ontology)
+        assert entry.triple[0] == ontology.domains[0]
 
     def test_trace_records_full_distributions(self, ontology):
         tape = Tape()
         d = np.zeros(len(ontology.domains)); d[0] = 0.75; d[1] = 0.25
         a = np.zeros(len(ontology.acts)); a[0] = 1.0
         s = np.zeros(len(ontology.slots)); s[0] = 1.0
-        _, entry = assemble_token(self.dists_for(ontology, tape, d, a, s), ontology, 0)
+        entry = resolve_placeholder(0, *self.dists_for(ontology, tape, d, a, s).as_arrays(),
+                                    ontology)
         assert entry.domain_dist.tolist() == d.tolist()
         trace = AttentionTrace([entry])
         assert trace.matrix("domain").shape == (1, len(ontology.domains))

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -121,10 +122,11 @@ class TestElementwise:
         with pytest.raises(DomainError):
             t.leaf([1.0, np.inf])
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_finite_values_whose_sum_overflows_accepted(self):
         t = Tape()
-        assert t.leaf([1e308, 1e308]).value.tolist() == [1e308, 1e308]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert t.leaf([1e308, 1e308]).value.tolist() == [1e308, 1e308]
         with pytest.raises(DomainError):
             t.leaf([1e308, 1e308, np.nan])
 
@@ -353,6 +355,11 @@ class TestClip:
         grads = {"a": np.array([0.3])}
         clip_gradients(grads, max_norm=5.0)
         assert grads["a"][0] == pytest.approx(0.3)
+
+    @pytest.mark.parametrize("max_norm", [0.0, -1.0, float("nan")])
+    def test_non_positive_max_norm_rejected(self, max_norm):
+        with pytest.raises(ParameterError):
+            clip_gradients({"a": np.array([3.0, 4.0])}, max_norm=max_norm)
 
 
 class TestMisc:

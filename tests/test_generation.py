@@ -193,7 +193,7 @@ class TestRender:
             [SrEntry("hotel", "inform", "options", "two")], ontology)
         words = delex.split()
         model = zeroed_model(ontology, words=words)
-        hyp = Hypothesis(tuple(model.vocab.encode(words)), -1.0, None, None, finished=True)
+        hyp = Hypothesis(tuple(model.vocab.encode(words)), -1.0, finished=True)
         return _rank(model, sr, [hyp], beam_size=1).top
 
     def test_value_substitution(self, ontology):

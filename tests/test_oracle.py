@@ -1,0 +1,225 @@
+"""The fused decoder kernels and the stacked search against the reference
+copies in ``tests/oracle``: random models in all three modes at hidden 8 and
+100, random SRs, dropout off and on with one rng seed on both sides (so the
+order of the mask draws is part of the contract).
+
+Floating-point results agree within 1e-12, relative to the largest
+magnitude in the tensor; token sequences, texts and chosen attention triples
+are equal.  A mismatch where two scores lie within 1e-9 of each other is
+reported as a near-tie, but it still fails."""
+
+import random
+
+import numpy as np
+import pytest
+
+from oracle import decoder as ref_decoder
+from oracle import generation as ref_generation
+from oracle import training as ref_training
+from test_acceptance import random_sr
+from test_generation import zeroed_model
+from treenlg import generation
+from treenlg.decoder import DecoderState, attend, make_feedback_input, step
+from treenlg.engine import ParamBinding, Tape, concat, mul, sum_all
+from treenlg.errors import ContractError
+from treenlg.model import MODES, Model, Vocabulary, prepare_example
+from treenlg.semantics import REQUEST, Example
+from treenlg.training import TrainConfig, teacher_forced
+
+TOL = 1e-12
+NEAR_TIE = 1e-9
+
+
+def rel_err(a, b) -> float:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    scale = max(float(np.max(np.abs(a), initial=0.0)), float(np.max(np.abs(b), initial=0.0)))
+    return float(np.max(np.abs(a - b), initial=0.0)) / scale if scale else 0.0
+
+
+def sentence(sr) -> str:
+    """A reference text that mentions every value of the SR once."""
+    values = [e.value for e in sr if not e.is_bare_act and e.value != REQUEST]
+    return " ".join(f"near {v}" for v in values) + " ?"
+
+
+@pytest.fixture(scope="module")
+def cases(synth_default):
+    """(mode, hidden, model, prepared examples, decode SRs) per case."""
+    _, ontology = synth_default
+    rng = random.Random(11)
+    out = []
+    for mode in MODES:
+        for hidden in (8, 100):
+            srs = [random_sr(ontology, rng) for _ in range(6)]
+            preps = [prepare_example(Example(sr, sentence(sr), "train"), mode, ontology)
+                     for sr in srs]
+            vocab = Vocabulary.build([p.tokens for p in preps],
+                                     placeholder_only=mode == "tree+att")
+            model = Model.create(mode, ontology, vocab, hidden,
+                                 np.random.default_rng(hidden + len(out)), 0.5)
+            out.append((mode, hidden, model, preps, srs))
+    return out
+
+
+class TestTeacherForced:
+    @pytest.mark.parametrize("dropout", [0.0, 0.25])
+    def test_loss_nll_and_gradients_match(self, cases, dropout):
+        for mode, hidden, model, preps, _ in cases:
+            config = TrainConfig(mode=mode, hidden=hidden, dropout=dropout)
+            for n, prep in enumerate(preps):
+                rng_ref, rng_new = np.random.default_rng(n), np.random.default_rng(n)
+                ref = ref_training.teacher_forced(model, prep, config, training=True,
+                                                  rng=rng_ref)
+                new = teacher_forced(model, prep, config, training=True, rng=rng_new)
+                where = f"{mode} hidden {hidden} example {n} dropout {dropout}"
+                assert rel_err(ref.loss.value, new.loss.value) <= TOL, where
+                assert rel_err(ref.nll.value, new.nll.value) <= TOL, where
+                # Both sides drew the same masks in the same order.
+                assert rng_ref.random() == rng_new.random(), where
+                ref.tape.backward(ref.loss)
+                new.tape.backward(new.loss)
+                ref_grads = ref.tape.param_grads(model.params)
+                new_grads = new.tape.param_grads(model.params)
+                for name in model.params:
+                    assert rel_err(ref_grads[name], new_grads[name]) <= TOL, (where, name)
+
+
+class TestKernels:
+    def test_attention_distributions_and_gradients_match(self, cases):
+        for mode, hidden, model, _, srs in cases:
+            if not model.uses_attention:
+                continue
+            rng = np.random.default_rng(hidden)
+            for sr in srs:
+                s = rng.normal(size=hidden)
+                weights = None
+                outputs = []
+                for attend_fn in (ref_decoder.attend, attend):
+                    tape = Tape()
+                    binding = ParamBinding(tape, model.params)
+                    encoded = model.encode_sr(sr, binding)
+                    s_node = tape.leaf(s)
+                    dists = attend_fn(s_node, encoded, model.ontology)
+                    layers = (dists.domain, dists.act, dists.slot)
+                    if weights is None:
+                        weights = [rng.normal(size=n.shape) for n in layers]
+                    loss = sum_all(concat([sum_all(mul(node, tape.leaf(w)))
+                                           for node, w in zip(layers, weights)]))
+                    tape.backward(loss)
+                    outputs.append((dists, s_node.grad, tape.param_grads(model.params)))
+                (ref, ref_ds, ref_grads), (new, new_ds, new_grads) = outputs
+                for a, b in zip(ref.as_arrays(), new.as_arrays()):
+                    assert rel_err(a, b) <= TOL
+                    assert np.array_equal(a == 0.0, b == 0.0)
+                assert rel_err(ref_ds, new_ds) <= TOL
+                for name in model.params:
+                    assert rel_err(ref_grads[name], new_grads[name]) <= TOL, name
+
+    def test_stacked_step_rows_match_single_steps(self, cases):
+        for mode, hidden, model, _, srs in cases:
+            rng = np.random.default_rng(3)
+            tape = Tape(recording=False)
+            binding = ParamBinding(tape, model.params)
+            encoded = model.encode_sr(srs[0], binding)
+            k = 4
+            words = rng.integers(0, len(model.vocab), size=k)
+            rows = DecoderState(*(tape.leaf(rng.normal(size=(k, hidden))) for _ in range(3)))
+            x = make_feedback_input(words, None, binding, model.ontology.feedback_size)
+            stacked, probs = step(binding, x, rows)
+            for j in range(k):
+                one = DecoderState(*(tape.leaf(n.value[j]) for n in (rows.h, rows.c, rows.s)))
+                x1 = make_feedback_input(int(words[j]), None, binding,
+                                         model.ontology.feedback_size)
+                single, p1 = step(binding, x1, one)
+                assert rel_err(p1.value, probs.value[j]) <= TOL
+                assert rel_err(single.s.value, stacked.s.value[j]) <= TOL
+            if model.uses_attention:
+                dists = attend(stacked.s, encoded, model.ontology)
+                for j in range(k):
+                    one = attend(tape.leaf(stacked.s.value[j]), encoded, model.ontology)
+                    for a, b in zip(one.as_arrays(), (dists.domain.value[j], dists.act.value[j],
+                                                      dists.slot.value[j])):
+                        assert rel_err(a, b) <= TOL
+
+    def test_recording_tape_rejects_stacked_inputs(self, cases):
+        _, hidden, model, _, _ = cases[0]
+        tape = Tape()
+        binding = ParamBinding(tape, model.params)
+        state = DecoderState(*(tape.leaf(np.zeros((2, hidden))) for _ in range(3)))
+        with pytest.raises(ContractError):
+            make_feedback_input([1, 2], None, binding, model.ontology.feedback_size)
+        x = tape.leaf(np.zeros((2, hidden + model.ontology.feedback_size)))
+        with pytest.raises(ContractError):
+            step(binding, x, state)
+
+
+def ranked(result) -> list[tuple[str, float, list]]:
+    return [(h.delex_text, h.score, h.trace.entries) for h in result.hypotheses]
+
+
+def assert_same_search(ref, new, where: str) -> None:
+    ref_h, new_h = ranked(ref), ranked(new)
+    scores = sorted(s for _, s, _ in ref_h + new_h)
+    gap = min((b - a for a, b in zip(scores, scores[1:]) if b - a > 0.0), default=np.inf)
+    if [t for t, _, _ in ref_h] != [t for t, _, _ in new_h]:
+        kind = "near-tie flipped the order" if gap < NEAR_TIE else "ranked texts differ"
+        pytest.fail(f"{where}: {kind} (smallest score gap {gap:.3g})\n"
+                    f"reference {[t for t, _, _ in ref_h]}\nfused {[t for t, _, _ in new_h]}")
+    for (_, s_ref, tr_ref), (_, s_new, tr_new) in zip(ref_h, new_h):
+        assert rel_err(s_ref, s_new) <= TOL, where
+        assert [e.triple for e in tr_new] == [(e.domain, e.act, e.slot) for e in tr_ref], where
+        for e_ref, e_new in zip(tr_ref, tr_new):
+            assert e_ref.step == e_new.step, where
+            for layer in ("domain_dist", "act_dist", "slot_dist"):
+                assert rel_err(getattr(e_ref, layer), getattr(e_new, layer)) <= TOL, where
+    assert [h.truncated for h in ref.hypotheses] == [h.truncated for h in new.hypotheses], where
+
+
+class TestSearch:
+    def test_greedy_matches_reference(self, cases):
+        for mode, hidden, model, _, srs in cases:
+            for n, sr in enumerate(srs):
+                assert_same_search(ref_generation.greedy_decode(model, sr, max_length=30),
+                                   generation.greedy_decode(model, sr, max_length=30),
+                                   f"greedy {mode} hidden {hidden} sr {n}")
+
+    def test_beam10_matches_reference(self, cases):
+        for mode, hidden, model, _, srs in cases:
+            for n, sr in enumerate(srs):
+                assert_same_search(
+                    ref_generation.beam_decode(model, sr, beam_size=10, max_length=30),
+                    generation.beam_decode(model, sr, beam_size=10, max_length=30),
+                    f"beam 10 {mode} hidden {hidden} sr {n}")
+
+    def test_one_step_call_per_time_step(self, cases, monkeypatch):
+        rows_per_call = []
+
+        def counting_step(binding, x, state, *args, **kwargs):
+            rows_per_call.append(x.shape[0])
+            return step(binding, x, state, *args, **kwargs)
+
+        monkeypatch.setattr(generation, "step", counting_step)
+        # The end token never wins, so the search runs all max_length steps.
+        _, hidden, model, _, srs = cases[0]
+        stuck = zeroed_model(model.ontology, words=("blah", "more"))
+        stuck.params["flat.b"] = np.ones(6)
+        stuck.params["dec.out.w"][stuck.vocab.eos_id] = -np.ones(6)
+        result = generation.beam_decode(stuck, srs[0], beam_size=3, max_length=7)
+        assert result.top.truncated
+        assert len(rows_per_call) == 7
+        assert rows_per_call == [1, 3, 3, 3, 3, 3, 3]
+
+        # On a random model, the stacked rows are exactly the reference's
+        # per-hypothesis step calls.
+        ref_calls = []
+
+        def counting_ref_step(binding, x, state, *args, **kwargs):
+            ref_calls.append(1)
+            return ref_decoder.step(binding, x, state, *args, **kwargs)
+
+        monkeypatch.setattr(ref_generation, "step", counting_ref_step)
+        rows_per_call.clear()
+        generation.beam_decode(model, srs[1], beam_size=10, max_length=30)
+        ref_generation.beam_decode(model, srs[1], beam_size=10, max_length=30)
+        assert sum(rows_per_call) == len(ref_calls)
+        assert len(rows_per_call) <= 30

@@ -1,5 +1,6 @@
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treenlg.engine import Tape, softmax
-from treenlg.errors import ConfigError, ContractError
+from treenlg.errors import CompatibilityError, ConfigError, ContractError
 from treenlg.decoder import AttentionDists
 from treenlg.model import (
     Model,
@@ -18,7 +19,7 @@ from treenlg.model import (
     save_checkpoint,
     STREAM_INIT,
 )
-from treenlg.semantics import Corpus, Example, SemanticRepresentation, SrEntry
+from treenlg.semantics import Corpus, Example, Ontology, SemanticRepresentation, SrEntry
 from treenlg.synth import SynthSpec, synth_corpus
 from treenlg.training import (
     TrainConfig,
@@ -195,6 +196,53 @@ class TestCheckpointRoundtrip:
         assert p1.read_bytes() == p2.read_bytes()
 
 
+class TestCheckpointValidation:
+    """A checkpoint whose tensors do not fit its own header is rejected when
+    it loads."""
+
+    @staticmethod
+    def saved(tmp_path, edit) -> str:
+        ontology = Ontology({"cafe": {"inform": {"area": "informable"}}})
+        vocab = Vocabulary.build([["a", "@"]], placeholder_only=True)
+        model = Model.create("tree+att", ontology, vocab, 4, rng_stream(0, STREAM_INIT))
+        edit(model.params)
+        path = tmp_path / "edited.ckpt"
+        save_checkpoint(path, model, {}, 1, {})
+        return path
+
+    def test_untouched_checkpoint_loads(self, tmp_path):
+        load_checkpoint(self.saved(tmp_path, lambda params: None))
+
+    def test_missing_tensor_rejected(self, tmp_path):
+        path = self.saved(tmp_path, lambda params: params.pop("dec.r.s"))
+        with pytest.raises(CompatibilityError, match="missing.*dec.r.s"):
+            load_checkpoint(path)
+
+    def test_extra_tensor_rejected(self, tmp_path):
+        path = self.saved(tmp_path, lambda params: params.update({"flat.w": np.zeros((4, 1))}))
+        with pytest.raises(CompatibilityError, match="unexpected.*flat.w"):
+            load_checkpoint(path)
+
+    def test_malformed_header_ontology_rejected(self, tmp_path):
+        data = self.saved(tmp_path, lambda params: None).read_bytes()
+        magic = b"TREENLG1\n"
+        (length,) = struct.unpack_from("<Q", data, len(magic))
+        start = len(magic) + 8
+        header = json.loads(data[start:start + length])
+        header["ontology"] = {}
+        raw = json.dumps(header).encode()
+        path = tmp_path / "ontology.ckpt"
+        path.write_bytes(magic + struct.pack("<Q", len(raw)) + raw + data[start + length:])
+        with pytest.raises(CompatibilityError, match="corrupt"):
+            load_checkpoint(path)
+
+    def test_misshaped_tensor_rejected(self, tmp_path):
+        path = self.saved(tmp_path, lambda params: params.update(
+            {"dec.i.h": np.zeros((4, 3))}))
+        with pytest.raises(CompatibilityError, match="dec.i.h"):
+            load_checkpoint(path)
+
+
 class TestAdaptation:
     def make_examples(self, ontology, n):
         out = []
@@ -327,7 +375,8 @@ class TestConfig:
 
     @pytest.mark.parametrize("raw", [[1, 2], "hidden", {"bogus": 1}, {"hidden": "100"},
                                      {"hidden": 10.0}, {"seed": True}, {"mode": None},
-                                     {"lr_scratch": float("nan")}])
+                                     {"lr_scratch": float("nan")}, {"clip_norm": -1.0},
+                                     {"clip_norm": float("nan")}])
     def test_from_json_rejects_malformed(self, raw):
         with pytest.raises(ConfigError):
             TrainConfig.from_json(raw)
