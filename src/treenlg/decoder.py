@@ -76,10 +76,9 @@ class DecoderState:
     c: Node
     s: Node
 
-    def take(self, rows) -> "DecoderState":
-        """The given rows of the state, stacked, as leaves of its tape; a
+    def take(self, tape: Tape, rows) -> "DecoderState":
+        """The given rows of the state, stacked, as leaves of ``tape``; a
         one-hypothesis state counts as a stack of one."""
-        tape = self.h.tape
         return DecoderState(*(tape.leaf(np.atleast_2d(n.value)[rows])
                               for n in (self.h, self.c, self.s)))
 
@@ -93,7 +92,7 @@ _ALL_GATES = CELL_GATES + STATE_GATES
 _X_STACK = tuple(f"dec.{g}.x" for g in _ALL_GATES)
 _H_STACK = tuple(f"dec.{g}.h" for g in _ALL_GATES)
 _S_STACK = tuple(f"dec.{g}.s" for g in STATE_GATES)
-_B_JOIN = tuple(f"dec.{g}.b" for g in _ALL_GATES)
+_B_STACK = tuple(f"dec.{g}.b" for g in _ALL_GATES)
 
 
 def _check_stack(tape: Tape, *values: np.ndarray) -> None:
@@ -122,7 +121,7 @@ def step(binding: ParamBinding, x: Node, state: DecoderState,
     vocabulary projection and the softmax."""
     tape = binding.tape
     wx, wh = binding.stacked(_X_STACK), binding.stacked(_H_STACK)
-    ws, b = binding.stacked(_S_STACK), binding.joined(_B_JOIN)
+    ws, b = binding.stacked(_S_STACK), binding.stacked(_B_STACK)
     hidden = wh.shape[1]
     _check_stack(tape, x.value, state.h.value, state.c.value, state.s.value)
     if x.shape[-1] != wx.shape[1] or any(n.shape[-1] != hidden
@@ -130,9 +129,9 @@ def step(binding: ParamBinding, x: Node, state: DecoderState,
         raise DimensionError(f"decoder step expects input width {wx.shape[1]} and state "
                              f"width {hidden}, got {x.shape} and {state.h.shape}")
     packed = _cell(tape, x, state, wx, wh, ws, b, hidden)
-    h, c, s = (slice_last(packed, k * hidden, (k + 1) * hidden) for k in range(3))
+    h, c, s = (slice_last(tape, packed, k * hidden, (k + 1) * hidden) for k in range(3))
     mask = dropout_mask(h.shape, dropout_rate, training, rng)
-    return DecoderState(h=h, c=c, s=s), _output(binding["dec.out.w"], h, mask)
+    return DecoderState(h=h, c=c, s=s), _output(tape, binding["dec.out.w"], h, mask)
 
 
 def _cell(tape: Tape, x: Node, state: DecoderState, wx: Node, wh: Node, ws: Node,
@@ -171,7 +170,7 @@ def _cell(tape: Tape, x: Node, state: DecoderState, wx: Node, wh: Node, ws: Node
                    (x, state.h, state.c, state.s, wx, wh, ws, b), vjp)
 
 
-def _output(w_out: Node, h: Node, mask: np.ndarray | None) -> Node:
+def _output(tape: Tape, w_out: Node, h: Node, mask: np.ndarray | None) -> Node:
     h_out = h.value if mask is None else h.value * mask
     probs = softmax_last(h_out @ w_out.value.T)
 
@@ -180,7 +179,7 @@ def _output(w_out: Node, h: Node, mask: np.ndarray | None) -> Node:
         d_h = d_logits @ w_out.value
         return np.outer(d_logits, h_out), (d_h if mask is None else d_h * mask)
 
-    return h.tape.op(probs, (w_out, h), vjp)
+    return tape.op(probs, (w_out, h), vjp)
 
 
 @dataclass
@@ -204,10 +203,11 @@ def attend(s: Node, encoded: EncodedTree, ontology: Ontology) -> AttentionDists:
     """Score the semantic state ([H], or [K, H] for a stack of hypotheses)
     against each layer's activated node states and normalise per layer.
 
-    One fused op per layer: the label states, in sorted label order, form
-    an [labels, H] matrix, so the scores are one matrix product; the
-    softmax is scattered to the layer's canonical label positions."""
-    _check_stack(s.tape, s.value)
+    One fused op per layer, on the tape of ``encoded`` (which must hold
+    ``s``): the label states, in sorted label order, form an [labels, H]
+    matrix, so the scores are one matrix product; the softmax is scattered
+    to the layer's canonical label positions."""
+    _check_stack(encoded.tape, s.value)
     out = {}
     for layer in ("domain", "act", "slot"):
         states = encoded.layer_states[layer]
@@ -216,12 +216,12 @@ def attend(s: Node, encoded: EncodedTree, ontology: Ontology) -> AttentionDists:
         labels = sorted(states)
         index_of = getattr(ontology, _LAYER_INDEX[layer])
         size = len(getattr(ontology, _LAYER_SIZE[layer]))
-        out[layer] = _layer_attention(s, [states[label] for label in labels],
+        out[layer] = _layer_attention(encoded.tape, s, [states[label] for label in labels],
                                       [index_of(label) for label in labels], size)
     return AttentionDists(out["domain"], out["act"], out["slot"])
 
 
-def _layer_attention(s: Node, label_states: list[Node], index: list[int],
+def _layer_attention(tape: Tape, s: Node, label_states: list[Node], index: list[int],
                      size: int) -> Node:
     m = np.stack([n.value for n in label_states])
     if m.shape[1:] != s.shape[-1:]:
@@ -235,7 +235,7 @@ def _layer_attention(s: Node, label_states: list[Node], index: list[int],
         d_scores = probs * (gp - np.dot(gp, probs))
         return (d_scores @ m,) + tuple(d_scores[j] * s.value for j in range(len(index)))
 
-    return s.tape.op(value, (s, *label_states), vjp)
+    return tape.op(value, (s, *label_states), vjp)
 
 
 @dataclass

@@ -1,16 +1,21 @@
-"""Dense float64 arithmetic with a reverse-mode tape, Adam, dropout and a
+"""Dense float64 arithmetic on a reverse-mode tape, Adam, dropout masks and a
 finite-difference gradient checker.
 
-Every tensor lives on a :class:`Tape` as a :class:`Node`.  Nodes are appended
-in forward order, so the node list is already a topological order and
-``backward`` is a single reverse sweep.  All data is 64-bit; results with
-NaN/Inf are rejected at node creation so a blow-up is caught where it happens.
+A :class:`Tape` records one forward pass as :class:`Node` entries: parameter
+and input leaves, and the results of the fused ops that the encoder, decoder
+and loss kernels register through ``Tape.op``, each with a closed-form
+adjoint.  Nodes are appended in forward order, so the node list is already
+a topological order and ``backward`` is a single reverse sweep.  Nodes do
+not refer to their tape: kernels take it from their ``ParamBinding``, and a
+finished tape is freed by reference counting.  All data is 64-bit; a leaf or
+op value with NaN/Inf is rejected when it is registered, so a blow-up is
+caught in the kernel that made it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -29,13 +34,17 @@ def _as_f64(value) -> Array:
 
 
 class Node:
-    """One entry on the tape: a cached forward value plus its adjoint hook."""
+    """One entry on the tape: a cached forward value plus its adjoint hook.
 
-    __slots__ = ("tape", "value", "parents", "vjp", "param", "grad", "grad_owned")
+    ``param`` names the parameter a leaf holds, or a tuple of names for a
+    leaf holding several parameters concatenated along their first axis.
+    A node does not refer to its tape, so nothing keeps a finished tape
+    alive but its users."""
 
-    def __init__(self, tape: "Tape", value: Array,
-                 parents: tuple["Node", ...], vjp, param: str | None):
-        self.tape = tape
+    __slots__ = ("value", "parents", "vjp", "param", "grad", "grad_owned", "__weakref__")
+
+    def __init__(self, value: Array, parents: tuple["Node", ...], vjp,
+                 param: str | tuple[str, ...] | None):
         self.value = value
         self.parents = parents
         self.vjp = vjp
@@ -62,32 +71,30 @@ class Tape:
         self.recording = recording
         self.nodes: list[Node] = []
 
-    def _append(self, value: Array, parents: tuple[Node, ...], vjp, param=None) -> Node:
-        node = Node(self, value, parents, vjp, param)
+    def _append(self, value, parents: tuple[Node, ...], vjp, param=None) -> Node:
+        node = Node(_as_f64(value), parents, vjp, param)
         if self.recording:
             self.nodes.append(node)
         return node
 
-    def leaf(self, value, param: str | None = None) -> Node:
+    def leaf(self, value, param: str | tuple[str, ...] | None = None) -> Node:
         """Register an input tensor; ``param`` names it for gradient collection."""
-        return self._append(_as_f64(value), (), None, param)
+        return self._append(value, (), None, param)
 
     def op(self, value, parents: tuple[Node, ...], vjp: Callable[[Array], tuple]) -> Node:
-        """Register an op result. ``vjp`` maps the output adjoint to one
-        adjoint per parent (None for a parent that gets no gradient)."""
-        for p in parents:
-            if p.tape is not self:
-                raise ContractError("inputs live on a different tape")
+        """Register an op result.  ``parents`` must be nodes of this tape;
+        ``vjp`` maps the output adjoint to one adjoint per parent (None for
+        a parent that gets no gradient)."""
         if not self.recording:
-            return self._append(_as_f64(value), (), None)
-        return self._append(_as_f64(value), parents, vjp)
+            return self._append(value, (), None)
+        return self._append(value, parents, vjp)
 
     def backward(self, loss: Node) -> None:
         """Populate ``grad`` on every node reachable from the scalar ``loss``."""
-        if loss.tape is not self:
-            raise ContractError("loss node lives on a different tape")
         if loss.value.shape != ():
             raise ContractError(f"loss must be a scalar, got shape {loss.value.shape}")
+        if loss not in self.nodes:
+            raise ContractError("loss node is not on this tape")
         for node in self.nodes:
             node.grad = None
             node.grad_owned = False
@@ -112,28 +119,39 @@ class Tape:
     def param_grads(self, params: Mapping[str, Array],
                     out: dict[str, Array] | None = None) -> dict[str, Array]:
         """Gradients per named parameter; zeros for parameters the loss never
-        touched.  With ``out`` the gradients accumulate in place (batching)."""
+        touched.  With ``out`` the gradients accumulate in place (batching).
+        A leaf of several parameters hands each its block of rows."""
         grads = out if out is not None else \
             {name: np.zeros_like(value) for name, value in params.items()}
         for node in self.nodes:
-            if node.param is not None and node.grad is not None:
-                if node.param not in grads:
-                    raise ContractError(f"unknown parameter {node.param!r} on tape")
-                grads[node.param] += node.grad
+            if node.param is None or node.grad is None:
+                continue
+            names = (node.param,) if isinstance(node.param, str) else node.param
+            offset = 0
+            for name in names:
+                if name not in grads:
+                    raise ContractError(f"unknown parameter {name!r} on tape")
+                if len(names) == 1:
+                    grads[name] += node.grad
+                    continue
+                rows = grads[name].shape[0]
+                grads[name] += node.grad[offset:offset + rows]
+                offset += rows
         return grads
 
 
 class ParamBinding:
     """Binds a named-parameter dict to one tape, one leaf per name.
 
-    ``stacked``/``joined`` cache row-stacked matrices and concatenated bias
-    vectors so gate blocks can share one matmul per step."""
+    ``stacked`` caches one leaf per tuple of names that holds those
+    parameters concatenated along their first axis (row-stacked gate
+    matrices, joined gate biases), so gate blocks share one matmul per step;
+    ``Tape.param_grads`` splits its gradient back per name."""
 
     def __init__(self, tape: Tape, params: Mapping[str, Array]):
         self.tape = tape
         self.params = params
-        self._leaves: dict[str, Node] = {}
-        self._stacks: dict[tuple[str, ...], Node] = {}
+        self._leaves: dict[str | tuple[str, ...], Node] = {}
 
     def __getitem__(self, name: str) -> Node:
         node = self._leaves.get(name)
@@ -143,103 +161,12 @@ class ParamBinding:
         return node
 
     def stacked(self, names: tuple[str, ...]) -> Node:
-        node = self._stacks.get(names)
+        node = self._leaves.get(names)
         if node is None:
-            node = vstack([self[n] for n in names])
-            self._stacks[names] = node
+            node = self.tape.leaf(np.concatenate([self.params[n] for n in names]),
+                                  param=names)
+            self._leaves[names] = node
         return node
-
-    def joined(self, names: tuple[str, ...]) -> Node:
-        key = ("1d",) + names
-        node = self._stacks.get(key)
-        if node is None:
-            node = concat([self[n] for n in names])
-            self._stacks[key] = node
-        return node
-
-
-def _same_tape(*nodes: Node) -> Tape:
-    tape = nodes[0].tape
-    for n in nodes[1:]:
-        if n.tape is not tape:
-            raise ContractError("operands live on different tapes")
-    return tape
-
-
-def _coerce(a: Node, b) -> tuple[Node, Node]:
-    """Allow python scalars as constant operands."""
-    if isinstance(b, Node):
-        return a, b
-    return a, a.tape.leaf(np.float64(b))
-
-
-def add(a: Node, b: Node | float) -> Node:
-    a, b = _coerce(a, b)
-    tape = _same_tape(a, b)
-    if a.shape != b.shape and a.shape != () and b.shape != ():
-        raise DimensionError(f"add shapes {a.shape} vs {b.shape}")
-    value = a.value + b.value
-
-    def vjp(g: Array):
-        ga = g if a.shape == g.shape else np.sum(g)
-        gb = g if b.shape == g.shape else np.sum(g)
-        return ga, gb
-
-    return tape.op(value, (a, b), vjp)
-
-
-def mul(a: Node, b: Node | float) -> Node:
-    a, b = _coerce(a, b)
-    tape = _same_tape(a, b)
-    if a.shape != b.shape and a.shape != () and b.shape != ():
-        raise DimensionError(f"mul shapes {a.shape} vs {b.shape}")
-    value = a.value * b.value
-
-    def vjp(g: Array):
-        ga = g * b.value
-        gb = g * a.value
-        if a.shape != ga.shape:
-            ga = np.sum(ga)
-        if b.shape != gb.shape:
-            gb = np.sum(gb)
-        return ga, gb
-
-    return tape.op(value, (a, b), vjp)
-
-
-def neg(a: Node) -> Node:
-    return mul(a, -1.0)
-
-
-def matmul(a: Node, b: Node) -> Node:
-    tape = _same_tape(a, b)
-    if a.value.ndim != 2 or b.value.ndim not in (1, 2):
-        raise DimensionError(f"matmul expects 2-d x (1|2)-d, got {a.shape} x {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise DimensionError(f"matmul inner dims differ: {a.shape} x {b.shape}")
-    value = a.value @ b.value
-
-    if b.value.ndim == 2:
-        def vjp(g: Array):
-            return g @ b.value.T, a.value.T @ g
-    else:
-        def vjp(g: Array):
-            return g[:, None] * b.value[None, :], a.value.T @ g
-
-    return tape.op(value, (a, b), vjp)
-
-
-def dot(a: Node, b: Node) -> Node:
-    """Inner product of two 1-d vectors; the attention similarity score."""
-    tape = _same_tape(a, b)
-    if a.value.ndim != 1 or a.shape != b.shape:
-        raise DimensionError(f"dot expects equal 1-d shapes, got {a.shape} x {b.shape}")
-    value = np.float64(a.value @ b.value)
-
-    def vjp(g: Array):
-        return g * b.value, g * a.value
-
-    return tape.op(value, (a, b), vjp)
 
 
 def logistic(x: Array) -> Array:
@@ -255,94 +182,9 @@ def softmax_last(x: Array) -> Array:
     return e / np.sum(e, axis=-1, keepdims=True)
 
 
-def sigmoid(a: Node) -> Node:
-    out = logistic(a.value)
-
-    def vjp(g: Array):
-        return (g * out * (1.0 - out),)
-
-    return a.tape.op(out, (a,), vjp)
-
-
-def tanh(a: Node) -> Node:
-    out = np.tanh(a.value)
-
-    def vjp(g: Array):
-        return (g * (1.0 - out * out),)
-
-    return a.tape.op(out, (a,), vjp)
-
-
-def log(a: Node) -> Node:
-    if np.any(a.value <= 0.0):
-        raise DomainError("log of non-positive value")
-    out = np.log(a.value)
-
-    def vjp(g: Array):
-        return (g / a.value,)
-
-    return a.tape.op(out, (a,), vjp)
-
-
-def sum_all(a: Node) -> Node:
-    value = np.float64(np.sum(a.value))
-
-    def vjp(g: Array):
-        return (np.broadcast_to(g, a.shape).copy() if a.shape else g,)
-
-    return a.tape.op(value, (a,), vjp)
-
-
-def concat(parts: Sequence[Node]) -> Node:
-    """Concatenate scalars and 1-d vectors into one 1-d vector."""
-    if not parts:
-        raise DimensionError("concat of zero parts")
-    tape = _same_tape(*parts)
-    flats = []
-    for p in parts:
-        if p.value.ndim > 1:
-            raise DimensionError(f"concat expects scalars or 1-d parts, got {p.shape}")
-        flats.append(np.atleast_1d(p.value))
-    value = np.concatenate(flats)
-    sizes = [f.size for f in flats]
-
-    def vjp(g: Array):
-        out = []
-        offset = 0
-        for p, size in zip(parts, sizes):
-            piece = g[offset:offset + size]
-            out.append(piece.reshape(p.shape))
-            offset += size
-        return tuple(out)
-
-    return tape.op(value, tuple(parts), vjp)
-
-
-def vstack(parts: Sequence[Node]) -> Node:
-    """Stack 2-d blocks row-wise."""
-    if not parts:
-        raise DimensionError("vstack of zero parts")
-    tape = _same_tape(*parts)
-    cols = {p.shape[1] for p in parts if p.value.ndim == 2}
-    if any(p.value.ndim != 2 for p in parts) or len(cols) != 1:
-        raise DimensionError(f"vstack expects 2-d blocks of equal width, got "
-                             f"{[p.shape for p in parts]}")
-    value = np.concatenate([p.value for p in parts], axis=0)
-    rows = [p.shape[0] for p in parts]
-
-    def vjp(g: Array):
-        out = []
-        offset = 0
-        for r in rows:
-            out.append(g[offset:offset + r])
-            offset += r
-        return tuple(out)
-
-    return tape.op(value, tuple(parts), vjp)
-
-
-def slice_last(a: Node, start: int, stop: int) -> Node:
-    """Contiguous segment along the last axis."""
+def slice_last(tape: Tape, a: Node, start: int, stop: int) -> Node:
+    """Contiguous segment of a tape node along the last axis: the view that
+    exposes one part of a fused op's packed output."""
     if a.value.ndim == 0 or not 0 <= start <= stop <= a.shape[-1]:
         raise DimensionError(f"bad slice [{start}:{stop}] of shape {a.shape}")
     value = a.value[..., start:stop]
@@ -352,67 +194,7 @@ def slice_last(a: Node, start: int, stop: int) -> Node:
         z[..., start:stop] = g
         return (z,)
 
-    return a.tape.op(value, (a,), vjp)
-
-
-def softmax(a: Node) -> Node:
-    """Probability vector over a 1-d input, max-subtracted for stability."""
-    if a.value.ndim != 1 or a.value.size == 0:
-        raise DimensionError(f"softmax expects a non-empty vector, got shape {a.shape}")
-    out = softmax_last(a.value)
-
-    def vjp(g: Array):
-        return (out * (g - np.dot(g, out)),)
-
-    return a.tape.op(out, (a,), vjp)
-
-
-def pick(a: Node, index: int) -> Node:
-    """Select one element of a vector as a scalar node."""
-    if a.value.ndim != 1:
-        raise DimensionError(f"pick expects a vector, got shape {a.shape}")
-    if not 0 <= index < a.value.size:
-        raise ContractError(f"pick index {index} out of range for size {a.value.size}")
-    value = np.float64(a.value[index])
-
-    def vjp(g: Array):
-        z = np.zeros_like(a.value)
-        z[index] = g
-        return (z,)
-
-    return a.tape.op(value, (a,), vjp)
-
-
-def row(m: Node, index: int) -> Node:
-    """Select one matrix row; the embedding lookup."""
-    if m.value.ndim != 2:
-        raise DimensionError(f"row expects a matrix, got shape {m.shape}")
-    if not 0 <= index < m.shape[0]:
-        raise ContractError(f"row index {index} out of range for {m.shape}")
-    value = m.value[index].copy()
-
-    def vjp(g: Array):
-        z = np.zeros_like(m.value)
-        z[index] = g
-        return (z,)
-
-    return m.tape.op(value, (m,), vjp)
-
-
-def scatter(a: Node, indices: Sequence[int], size: int) -> Node:
-    """Place vector entries at ``indices`` of a zero vector of ``size``."""
-    idx = np.asarray(indices, dtype=np.intp)
-    if a.value.ndim != 1 or idx.size != a.value.size:
-        raise DimensionError(f"scatter expects matching vector/indices, got {a.shape} vs {idx.size}")
-    if idx.size != np.unique(idx).size:
-        raise ContractError("scatter indices must be distinct")
-    value = np.zeros(size, dtype=np.float64)
-    value[idx] = a.value
-
-    def vjp(g: Array):
-        return (g[idx],)
-
-    return a.tape.op(value, (a,), vjp)
+    return tape.op(value, (a,), vjp)
 
 
 def dropout_mask(shape: tuple[int, ...], rate: float, training: bool,
@@ -426,19 +208,6 @@ def dropout_mask(shape: tuple[int, ...], rate: float, training: bool,
     if rng is None:
         raise ParameterError("training-mode dropout needs an rng")
     return (rng.random(shape) >= rate) / (1.0 - rate)
-
-
-def dropout(a: Node, rate: float, training: bool, rng: np.random.Generator | None = None) -> Node:
-    """Inverted dropout: mask then rescale by 1/(1-rate); identity in eval mode."""
-    mask = dropout_mask(a.shape, rate, training, rng)
-    if mask is None:
-        return a
-    value = a.value * mask
-
-    def vjp(g: Array):
-        return (g * mask,)
-
-    return a.tape.op(value, (a,), vjp)
 
 
 def init_uniform(shapes: Mapping[str, tuple[int, ...]], rng: np.random.Generator,

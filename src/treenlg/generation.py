@@ -155,7 +155,7 @@ def _search(model: Model, sr: SemanticRepresentation, beam_size: int,
     encoded = model.encode_sr(sr, binding)
     vocab, ontology = model.vocab, model.ontology
     placeholder_id = vocab.index.get(PLACEHOLDER) if model.uses_attention else None
-    state = initial_state(encoded, model.hidden, binding).take([0])
+    state = initial_state(encoded, model.hidden, binding).take(tape, [0])
     live = [Hypothesis((), 0.0)]
     finished: list[Hypothesis] = []
 
@@ -179,7 +179,7 @@ def _search(model: Model, sr: SemanticRepresentation, beam_size: int,
         chosen = np.lexsort((tokens, parents, -child_scores))[:beam_size]
         parents, tokens, child_scores = parents[chosen], tokens[chosen], child_scores[chosen]
 
-        state = state.take(parents)
+        state = state.take(tape, parents)
         emitted = [k for k, tok in enumerate(tokens) if tok == placeholder_id]
         resolved: dict[int, tuple[TraceEntry]] = {}
         if emitted:

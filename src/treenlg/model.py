@@ -233,6 +233,13 @@ class Checkpoint:
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
+    """Read a checkpoint, rejecting anything malformed here rather than
+    downstream: a header that does not fit the mode, hidden size,
+    vocabulary and ontology it names, a config that is not a valid
+    ``TrainConfig``, a non-finite tensor value, or bytes past the last
+    tensor all raise ``CompatibilityError``."""
+    from .training import TrainConfig  # training imports this module
+
     try:
         data = Path(path).read_bytes()
     except FileNotFoundError:
@@ -266,12 +273,19 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
             shape = tuple(spec["shape"])
             count = int(np.prod(shape)) if shape else 1
             arr = np.frombuffer(data, dtype="<f8", count=count, offset=offset).reshape(shape)
-            params[spec["name"]] = arr.astype(np.float64).copy()
+            if not np.isfinite(arr).all():
+                raise CompatibilityError(f"{path}: tensor {spec['name']!r} holds "
+                                         f"non-finite values")
+            params[spec["name"]] = arr.astype(np.float64)
             offset += count * 8
+        if offset != len(data):
+            raise CompatibilityError(f"{path}: {len(data) - offset} trailing bytes "
+                                     f"after the last tensor")
+        TrainConfig.from_json(header["config"])
         model = Model(mode, hidden, ontology, vocab, params)
         return Checkpoint(model, header["config"], header["epoch"], header["dev_metrics"])
-    except (KeyError, ValueError, TypeError, ContractError, ParseError, struct.error,
-            json.JSONDecodeError) as exc:
+    except (KeyError, ValueError, TypeError, ConfigError, ContractError, ParseError,
+            struct.error, json.JSONDecodeError) as exc:
         raise CompatibilityError(f"{path}: corrupt checkpoint ({exc})") from exc
 
 

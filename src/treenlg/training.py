@@ -27,8 +27,8 @@ from .decoder import (
     make_feedback_input,
     step,
 )
-from .engine import Adam, Node, ParamBinding, Tape, add, clip_gradients, log, neg, pick
-from .errors import ConfigError, ContractError
+from .engine import Adam, Node, ParamBinding, Tape, clip_gradients
+from .errors import ConfigError, ContractError, DomainError
 from .generation import DEFAULT_BEAM_SIZE, DEFAULT_MAX_LENGTH, greedy_decode
 from .metrics import bleu, corpus_ser, ser
 from .model import (
@@ -108,28 +108,63 @@ class TrainConfig:
         return config
 
 
-def nll_loss(dists: list[Node], targets: list[int]) -> Node:
-    """Summed negative log-likelihood of the target ids, one distribution per token."""
+def nll_loss(tape: Tape, dists: list[Node], targets: list[int]) -> Node:
+    """Summed negative log-likelihood of the target ids, one distribution per
+    token, as one fused op."""
     if len(dists) != len(targets):
         raise ContractError(f"{len(dists)} distributions for {len(targets)} targets")
     if not dists:
         raise ContractError("empty sentence")
-    total = None
-    for dist, target in zip(dists, targets):
-        term = log(pick(dist, target))
-        total = term if total is None else add(total, term)
-    return neg(total)
+    p = _picked(dists, targets)
+    logs = np.log(p)
+    # Left to right, not np.sum's pairwise order, so the logged loss keeps
+    # its digits.
+    total = logs[0]
+    for term in logs[1:]:
+        total = total + term
+    return tape.op(-total, tuple(dists),
+                   lambda g: _pick_adjoints(dists, targets, p, -g))
 
 
-def att_loss(nll: Node,
+def att_loss(tape: Tape, nll: Node,
              supervised_steps: list[tuple[AttentionDists, tuple[int, int, int]]]) -> Node:
     """Plain objective plus the placeholder-step label penalties: the negative
-    log probability of the true domain, act and slot under each distribution."""
-    total = nll
-    for dists, (d_idx, a_idx, s_idx) in supervised_steps:
-        for dist, idx in ((dists.domain, d_idx), (dists.act, a_idx), (dists.slot, s_idx)):
-            total = add(total, neg(log(pick(dist, idx))))
-    return total
+    log probability of the true domain, act and slot under each distribution,
+    as one fused op (``nll`` itself when no step is supervised)."""
+    dists = [d for a, _ in supervised_steps for d in (a.domain, a.act, a.slot)]
+    if not dists:
+        return nll
+    indices = [idx for _, triple in supervised_steps for idx in triple]
+    p = _picked(dists, indices)
+    total = nll.value
+    for term in -np.log(p):
+        total = total + term
+    return tape.op(total, (nll, *dists),
+                   lambda g: (g,) + _pick_adjoints(dists, indices, p, -g))
+
+
+def _picked(dists: list[Node], indices: list[int]) -> np.ndarray:
+    """The probability each distribution gives its index."""
+    for dist, idx in zip(dists, indices):
+        if not 0 <= idx < dist.value.size:
+            raise ContractError(f"index {idx} out of range for a distribution "
+                                f"of size {dist.value.size}")
+    p = np.array([dist.value[idx] for dist, idx in zip(dists, indices)])
+    if np.any(p <= 0.0):
+        raise DomainError("log of non-positive probability")
+    return p
+
+
+def _pick_adjoints(dists: list[Node], indices: list[int], p: np.ndarray,
+                   scale) -> tuple[np.ndarray, ...]:
+    """Adjoint of ``scale * log(p)`` per distribution: ``scale / p`` at its
+    index, zero elsewhere."""
+    out = []
+    for dist, idx, p_k in zip(dists, indices, p):
+        d = np.zeros_like(dist.value)
+        d[idx] = scale / p_k
+        out.append(d)
+    return tuple(out)
 
 
 @dataclass
@@ -175,8 +210,8 @@ def teacher_forced(model: Model, prep: PreparedExample, config: TrainConfig,
                                                ontology.act_index(act),
                                                ontology.slot_index(slot))))
 
-    nll = nll_loss(dists, targets)
-    loss = att_loss(nll, supervised) if model.uses_attention else nll
+    nll = nll_loss(tape, dists, targets)
+    loss = att_loss(tape, nll, supervised) if model.uses_attention else nll
     return SentenceForward(tape, loss, nll, len(targets))
 
 

@@ -6,6 +6,9 @@ is built.  Encoding runs child-sum LSTM transitions bottom-up: each node sums
 its children's hidden states and memory cells, gates them together with the
 node's token embedding, and passes the result upward.  The root hidden state
 is the semantic embedding that conditions the decoder.
+
+Each node's transition is one fused op on the tape with a closed-form
+adjoint, and so is the flat baseline's affine map.
 """
 
 from __future__ import annotations
@@ -14,18 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import (
-    Node,
-    ParamBinding,
-    add,
-    init_uniform,
-    matmul,
-    mul,
-    row,
-    sigmoid,
-    slice_last,
-    tanh,
-)
+from .engine import Node, ParamBinding, Tape, init_uniform, logistic, slice_last
 from .errors import ContractError
 from .semantics import (
     NO_SLOT_PROPERTY,
@@ -158,18 +150,19 @@ def init_encoder_params(ontology: Ontology, hidden: int,
 
 class EncodedTree:
     """Forward-pass products the decoder consumes: the semantic embedding and
-    per-label hidden states for layer-wise attention."""
+    per-label hidden states for layer-wise attention, all nodes of ``tape``."""
 
     def __init__(self, embedding: Node, layer_states: dict[str, dict[str, Node]],
-                 node_states: dict[int, tuple[Node, Node]]):
+                 node_states: dict[int, tuple[Node, Node]], tape: Tape):
         self.embedding = embedding
         self.layer_states = layer_states
         self.node_states = node_states
+        self.tape = tape
 
 
 _E_STACK = tuple(f"enc.{g}.e" for g in GATES)
 _H_STACK = tuple(f"enc.{g}.h" for g in GATES)
-_B_JOIN = tuple(f"enc.{g}.b" for g in GATES)
+_B_STACK = tuple(f"enc.{g}.b" for g in GATES)
 
 
 def encode(tree: SemTree, binding: ParamBinding,
@@ -177,42 +170,82 @@ def encode(tree: SemTree, binding: ParamBinding,
     """Child-sum bottom-up pass.  Leaves see zero child sums, so their gates
     reduce to functions of the token embedding alone.
 
-    The four gate pre-activations share one stacked matmul per input path."""
-    emb = binding["enc.emb"]
+    One fused op per tree node (``_transition``) holds its [h | c];
+    ``node_states`` exposes h and c through two ``slice_last`` views, which
+    the parent's op reads."""
+    tape = binding.tape
+    hidden = binding.params["enc.emb"].shape[1]
     states: dict[int, tuple[Node, Node]] = {}
     for i in tree.post_order():
         node = tree.nodes[i]
-        e = row(emb, token_index[node.token])
-        h_sum: Node | None = None
-        c_sum: Node | None = None
-        for child in node.children:
-            ch, cc = states[child]
-            h_sum = ch if h_sum is None else add(h_sum, ch)
-            c_sum = cc if c_sum is None else add(c_sum, cc)
+        packed = _transition(binding, token_index[node.token],
+                             [states[child] for child in node.children])
+        states[i] = (slice_last(tape, packed, 0, hidden),
+                     slice_last(tape, packed, hidden, 2 * hidden))
 
-        z = add(matmul(binding.stacked(_E_STACK), e), binding.joined(_B_JOIN))
-        if h_sum is not None:
-            z = add(z, matmul(binding.stacked(_H_STACK), h_sum))
-        hidden = e.shape[0]
-        i_gate = sigmoid(slice_last(z, 0, hidden))
-        o_gate = sigmoid(slice_last(z, 2 * hidden, 3 * hidden))
-        g_gate = tanh(slice_last(z, 3 * hidden, 4 * hidden))
-        c = mul(i_gate, g_gate)
-        if c_sum is not None:
-            f_gate = sigmoid(slice_last(z, hidden, 2 * hidden))
-            c = add(c, mul(f_gate, c_sum))
-        h = mul(o_gate, tanh(c))
-        states[i] = (h, c)
-
-    layer_states: dict[str, dict[str, Node]] = {"domain": {}, "act": {}, "slot": {}}
+    by_label: dict[str, dict[str, list[Node]]] = {"domain": {}, "act": {}, "slot": {}}
     for i, node in enumerate(tree.nodes):
-        if node.layer in layer_states and node.label is not None:
-            bucket = layer_states[node.layer]
-            h = states[i][0]
-            # One label can own several activated nodes (same act under two
-            # domains); their states are summed before scoring.
-            bucket[node.label] = h if node.label not in bucket else add(bucket[node.label], h)
-    return EncodedTree(states[0][0], layer_states, states)
+        if node.layer in by_label and node.label is not None:
+            by_label[node.layer].setdefault(node.label, []).append(states[i][0])
+    # One label can own several activated nodes (same act under two
+    # domains); their states are summed before scoring.
+    layer_states = {layer: {label: _summed(tape, hs) for label, hs in labels.items()}
+                    for layer, labels in by_label.items()}
+    return EncodedTree(states[0][0], layer_states, states, tape)
+
+
+def _transition(binding: ParamBinding, index: int, children: list[tuple[Node, Node]]) -> Node:
+    """One child-sum LSTM transition: the embedding row e of the token at
+    ``index`` and the children's summed (h, c) give z = E·e + b (+ H·Σh),
+    the gates i, f, o, g, then c = i·g (+ f·Σc) and h = o·tanh(c).  The
+    four gate pre-activations share one stacked matmul per input path; the
+    adjoint is closed-form."""
+    emb, w_e, b = binding["enc.emb"], binding.stacked(_E_STACK), binding.stacked(_B_STACK)
+    w_h = binding.stacked(_H_STACK) if children else None
+    H = emb.shape[1]
+    e = emb.value[index]
+    z = w_e.value @ e + b.value
+    h_sum = c_sum = None
+    if children:
+        h_sum, c_sum = children[0][0].value, children[0][1].value
+        for ch, cc in children[1:]:
+            h_sum, c_sum = h_sum + ch.value, c_sum + cc.value
+        z = z + w_h.value @ h_sum
+    i, o, g = logistic(z[:H]), logistic(z[2 * H:3 * H]), np.tanh(z[3 * H:])
+    c = i * g
+    if children:
+        f = logistic(z[H:2 * H])
+        c = c + f * c_sum
+    tc = np.tanh(c)
+
+    def vjp(grad: np.ndarray):
+        gh, gc = grad[:H], grad[H:]
+        dc = gc + gh * o * (1.0 - tc * tc)
+        dz_f = dc * c_sum * f * (1.0 - f) if children else np.zeros(H)
+        dz = np.concatenate([dc * g * i * (1.0 - i), dz_f,
+                             gh * tc * o * (1.0 - o), dc * i * (1.0 - g * g)])
+        d_emb = np.zeros_like(emb.value)
+        d_emb[index] = w_e.value.T @ dz
+        grads = [d_emb, dz[:, None] * e[None, :], dz]
+        if children:
+            grads.append(dz[:, None] * h_sum[None, :])
+            d_child = (w_h.value.T @ dz, dc * f)
+            grads.extend(d_child * len(children))
+        return tuple(grads)
+
+    parents = (emb, w_e, b) + ((w_h,) if children else ()) + \
+        tuple(n for state in children for n in state)
+    return binding.tape.op(np.concatenate([o * tc, c]), parents, vjp)
+
+
+def _summed(tape: Tape, states: list[Node]) -> Node:
+    """The sum of one label's node states, in tree order."""
+    if len(states) == 1:
+        return states[0]
+    total = states[0].value
+    for n in states[1:]:
+        total = total + n.value
+    return tape.op(total, tuple(states), lambda g: (g,) * len(states))
 
 
 def flat_shapes(ontology: Ontology, hidden: int) -> dict[str, tuple[int, ...]]:
@@ -236,8 +269,16 @@ def triple_indicator(sr: SemanticRepresentation, ontology: Ontology) -> np.ndarr
 
 def encode_flat(sr: SemanticRepresentation, ontology: Ontology,
                 binding: ParamBinding) -> EncodedTree:
-    """Flat baseline: indicator vector through a trained affine map and tanh.
-    No per-label states, so attention is unavailable in this mode."""
-    x = binding.tape.leaf(triple_indicator(sr, ontology))
-    embedding = tanh(add(matmul(binding["flat.w"], x), binding["flat.b"]))
-    return EncodedTree(embedding, {"domain": {}, "act": {}, "slot": {}}, {})
+    """Flat baseline: indicator vector through a trained affine map and tanh,
+    one fused op.  No per-label states, so attention is unavailable in this
+    mode."""
+    x = triple_indicator(sr, ontology)
+    w, b = binding["flat.w"], binding["flat.b"]
+    y = np.tanh(w.value @ x + b.value)
+
+    def vjp(grad: np.ndarray):
+        d = grad * (1.0 - y * y)
+        return d[:, None] * x[None, :], d
+
+    embedding = binding.tape.op(y, (w, b), vjp)
+    return EncodedTree(embedding, {"domain": {}, "act": {}, "slot": {}}, {}, binding.tape)

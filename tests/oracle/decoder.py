@@ -1,6 +1,7 @@
 """Reference copy of the decoder as it was before the fused kernels: the
 executable specification that tests/test_oracle.py checks the package
-against.  Only the imports differ from the original; ``ParamBinding`` keeps
+against, on the reference engine and encoders in this package.  Only the
+imports differ from the original; ``ParamBinding`` keeps
 the ``zeros`` leaf cache the original relied on.
 
 LSTM decoder with a gated semantic state and layer-wise attention.
@@ -24,8 +25,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from treenlg import engine
-from treenlg.engine import (
+from treenlg.errors import ContractError
+from treenlg.semantics import Ontology
+
+from . import engine
+from .engine import (
     Node,
     add,
     concat,
@@ -41,9 +45,7 @@ from treenlg.engine import (
     softmax,
     tanh,
 )
-from treenlg.errors import ContractError
-from treenlg.semantics import Ontology
-from treenlg.tree import EncodedTree
+from .tree import EncodedTree
 
 
 class ParamBinding(engine.ParamBinding):

@@ -1,5 +1,6 @@
 """Reference copy of greedy and beam-search decoding as they were before
-the stacked search; only the imports differ from the original.
+the stacked search, on the reference engine and encoders in this package;
+only the imports and the encoder call differ from the original.
 
 Greedy and beam-search decoding with placeholder resolution.
 
@@ -33,7 +34,8 @@ from .decoder import (
     make_feedback_input,
     step,
 )
-from treenlg.engine import Tape
+from .engine import Tape
+from .tree import encode_sr
 from treenlg.errors import ContractError
 from treenlg.model import Model
 from treenlg.semantics import SemanticRepresentation, lexicalize, token_surface
@@ -162,7 +164,7 @@ def beam_decode(model: Model, sr: SemanticRepresentation,
         raise ContractError("beam size and max length must be at least 1")
     tape = Tape(recording=False)
     binding = ParamBinding(tape, model.params)
-    encoded = model.encode_sr(sr, binding)
+    encoded = encode_sr(model, sr, binding)
     live = [Hypothesis((), 0.0, initial_state(encoded, model.hidden, binding), None)]
     finished: list[Hypothesis] = []
 
@@ -210,7 +212,7 @@ def greedy_decode(model: Model, sr: SemanticRepresentation,
         raise ContractError("max length must be at least 1")
     tape = Tape(recording=False)
     binding = ParamBinding(tape, model.params)
-    encoded = model.encode_sr(sr, binding)
+    encoded = encode_sr(model, sr, binding)
     hyp = Hypothesis((), 0.0, initial_state(encoded, model.hidden, binding), None)
     for t in range(max_length):
         new_state, logp = _advance(model, binding, hyp)

@@ -1,6 +1,7 @@
 """Reference copy of the teacher-forced objective as it was before the fused
-decoder kernels, driving the reference decoder in this package; only the
-imports differ from the original."""
+decoder kernels and the fused loss, driving the reference engine, encoders and
+decoder in this package; only the imports and the encoder call differ from
+the original."""
 
 from __future__ import annotations
 
@@ -8,7 +9,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from treenlg.engine import Node, Tape, add, log, neg, pick
 from treenlg.errors import ContractError
 from treenlg.model import Model, PreparedExample
 from treenlg.training import TrainConfig
@@ -22,6 +22,8 @@ from .decoder import (
     make_feedback_input,
     step,
 )
+from .engine import Node, Tape, add, log, neg, pick
+from .tree import encode_sr
 
 
 def nll_loss(dists: list[Node], targets: list[int]) -> Node:
@@ -62,7 +64,7 @@ def teacher_forced(model: Model, prep: PreparedExample, config: TrainConfig,
     """Build the full training graph for one sentence."""
     tape = Tape(recording=recording)
     binding = ParamBinding(tape, model.params)
-    encoded = model.encode_sr(prep.example.sr, binding)
+    encoded = encode_sr(model, prep.example.sr, binding)
     state = initial_state(encoded, model.hidden, binding)
     vocab = model.vocab
     targets = vocab.encode(prep.tokens) + [vocab.eos_id]

@@ -192,6 +192,17 @@ class TestAdapt:
         assert code == 3
         assert len(err) == 1 and "dec.i.h" in err[0]
 
+    def test_non_finite_tensor_exits_3(self, data_dir, small_checkpoint, tmp_path, capsys):
+        data = small_checkpoint.read_bytes()
+        bad = tmp_path / "nan.ckpt"
+        bad.write_bytes(data[:-8] + np.float64(np.nan).tobytes())
+        code = main(["generate", "--checkpoint", str(bad),
+                     "--corpus", str(data_dir / "corpus.jsonl"),
+                     "--out", str(tmp_path / "g.jsonl")])
+        err = capsys.readouterr().err.strip().splitlines()
+        assert code == 3
+        assert len(err) == 1 and "non-finite" in err[0]
+
 
 class TestGenerateEvaluate:
     def test_generate_caps_hypotheses_at_beam(self, data_dir, small_checkpoint, tmp_path):

@@ -83,7 +83,7 @@ def encoded_with_states(tape, layer_states):
                        for label, vec in states.items()}
                for layer, states in layer_states.items()}
     embedding = tape.leaf(np.zeros(2))
-    return EncodedTree(embedding, wrapped, {})
+    return EncodedTree(embedding, wrapped, {}, tape)
 
 
 class TestAttend:
@@ -120,7 +120,7 @@ class TestAttend:
             "act": {"inform": tape.leaf([1.0])},
             "slot": {"area": tape.leaf([1.0]), "options": tape.leaf([2.0]),
                      "type": tape.leaf([3.0])},
-        }, {})
+        }, {}, tape)
         dists = attend(s, enc, ontology)
         scores = np.array([1.0, 2.0, 3.0])
         expected = np.exp(scores - scores.max())

@@ -1,21 +1,21 @@
+import ast
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treenlg import engine
-from treenlg.engine import (
-    Adam,
-    Tape,
+import treenlg
+
+from oracle.engine import (
+    Tape as RefTape,
     add,
-    clip_gradients,
     concat,
     dot,
     dropout,
-    grad_check,
     log,
     matmul,
     mul,
@@ -28,7 +28,49 @@ from treenlg.engine import (
     sum_all,
     tanh,
 )
+from treenlg.engine import (
+    Adam,
+    ParamBinding,
+    Tape,
+    clip_gradients,
+    dropout_mask,
+    grad_check,
+    slice_last,
+)
 from treenlg.errors import ContractError, DimensionError, DomainError, ParameterError
+
+# The fine-grained ops live on in the reference engine (tests/oracle), so
+# their tests run there, on its tape.  Tests of the package's tape,
+# parameter binding, optimizer and gradient checker build their graphs from
+# the local ops below, registered through ``Tape.op`` like the kernels'.
+
+
+def local_matmul(tape, a, b):
+    """[m, n] @ [n]."""
+    return tape.op(a.value @ b.value, (a, b),
+                   lambda g: (np.outer(g, b.value), a.value.T @ g))
+
+
+def local_mul(tape, a, b):
+    return tape.op(a.value * b.value, (a, b), lambda g: (g * b.value, g * a.value))
+
+
+def local_add(tape, a, b):
+    return tape.op(a.value + b.value, (a, b), lambda g: (g, g))
+
+
+def local_tanh(tape, a):
+    out = np.tanh(a.value)
+    return tape.op(out, (a,), lambda g: (g * (1.0 - out * out),))
+
+
+def local_sigmoid(tape, a):
+    out = 1.0 / (1.0 + np.exp(-a.value))
+    return tape.op(out, (a,), lambda g: (g * out * (1.0 - out),))
+
+
+def local_sum(tape, a):
+    return tape.op(np.sum(a.value), (a,), lambda g: (np.full(a.shape, g),))
 
 
 def central_diff(f, x, h):
@@ -53,18 +95,18 @@ def rel_err(a, b):
 
 class TestMatmul:
     def test_identity(self):
-        t = Tape()
+        t = RefTape()
         a = t.leaf([[1.0, 0.0], [0.0, 1.0]])
         b = t.leaf([[2.0], [3.0]])
         assert matmul(a, b).value.tolist() == [[2.0], [3.0]]
 
     def test_hand_product(self):
-        t = Tape()
+        t = RefTape()
         out = matmul(t.leaf([[1.0, 2.0]]), t.leaf([[3.0], [4.0]]))
         assert out.value.tolist() == [[11.0]]
 
     def test_shape_mismatch_names_shapes(self):
-        t = Tape()
+        t = RefTape()
         with pytest.raises(DimensionError, match=r"\(2, 3\).*\(2, 3\)"):
             matmul(t.leaf(np.ones((2, 3))), t.leaf(np.ones((2, 3))))
 
@@ -73,7 +115,7 @@ class TestMatmul:
         a = rng.normal(size=(3, 3))
         b = rng.normal(size=(3, 3))
 
-        t = Tape()
+        t = RefTape()
         an = t.leaf(a, param="a")
         loss = sum_all(matmul(an, t.leaf(b)))
         t.backward(loss)
@@ -85,35 +127,35 @@ class TestMatmul:
 
 class TestElementwise:
     def test_sigmoid_zero(self):
-        t = Tape()
+        t = RefTape()
         assert sigmoid(t.leaf(0.0)).value == 0.5
 
     def test_tanh_zero(self):
-        t = Tape()
+        t = RefTape()
         assert tanh(t.leaf(0.0)).value == 0.0
 
     def test_mul_hand(self):
-        t = Tape()
+        t = RefTape()
         out = mul(t.leaf([2.0, 3.0]), t.leaf([4.0, 5.0]))
         assert out.value.tolist() == [8.0, 15.0]
 
     def test_add_shape_mismatch(self):
-        t = Tape()
+        t = RefTape()
         with pytest.raises(DimensionError):
             add(t.leaf([1.0, 2.0]), t.leaf([1.0, 2.0, 3.0]))
 
     def test_scalar_broadcast(self):
-        t = Tape()
+        t = RefTape()
         out = add(mul(t.leaf([1.0, 2.0]), -1.0), 1.0)
         assert out.value.tolist() == [0.0, -1.0]
 
     def test_log_rejects_nonpositive(self):
-        t = Tape()
+        t = RefTape()
         with pytest.raises(DomainError):
             log(t.leaf([1.0, 0.0]))
 
     def test_concat_mixes_scalars_and_vectors(self):
-        t = Tape()
+        t = RefTape()
         out = concat([t.leaf(1.0), t.leaf([2.0, 3.0])])
         assert out.value.tolist() == [1.0, 2.0, 3.0]
 
@@ -133,29 +175,29 @@ class TestElementwise:
 
 class TestSoftmax:
     def test_symmetry(self):
-        t = Tape()
+        t = RefTape()
         assert softmax(t.leaf([0.0, 0.0])).value.tolist() == [0.5, 0.5]
 
     def test_large_inputs_stable(self):
-        t = Tape()
+        t = RefTape()
         out = softmax(t.leaf([1000.0, 0.0])).value
         assert out[0] == pytest.approx(1.0)
         assert out[1] == pytest.approx(0.0, abs=1e-12)
 
     def test_sums_to_one(self):
-        t = Tape()
+        t = RefTape()
         out = softmax(t.leaf([1.0, 2.0, 3.0])).value
         assert abs(out.sum() - 1.0) <= 1e-12
 
     def test_empty_rejected(self):
-        t = Tape()
+        t = RefTape()
         with pytest.raises(DimensionError):
             softmax(t.leaf(np.zeros(0)))
 
     @given(st.lists(st.floats(min_value=-1e3, max_value=1e3), min_size=1, max_size=8))
     @settings(max_examples=200, deadline=None)
     def test_probability_vector_property(self, xs):
-        t = Tape()
+        t = RefTape()
         out = softmax(t.leaf(np.array(xs))).value
         assert np.all(out >= 0.0)
         assert abs(out.sum() - 1.0) <= 1e-12
@@ -166,7 +208,7 @@ class TestBackward:
         t = Tape()
         x = np.array(3.0)
         xn = t.leaf(x, param="x")
-        loss = mul(xn, xn)
+        loss = local_mul(t, xn, xn)
         t.backward(loss)
         assert t.param_grads({"x": x})["x"] == pytest.approx(6.0)
 
@@ -178,7 +220,7 @@ class TestBackward:
         def build():
             t = Tape()
             wn = t.leaf(w, param="w")
-            return t, sum_all(sigmoid(matmul(wn, t.leaf(x))))
+            return t, local_sum(t, local_sigmoid(t, local_matmul(t, wn, t.leaf(x))))
 
         t, loss = build()
         t.backward(loss)
@@ -192,7 +234,7 @@ class TestBackward:
         unused = np.array([5.0])
         xn = t.leaf(x, param="x")
         t.leaf(unused, param="unused")
-        t.backward(sum_all(xn))
+        t.backward(local_sum(t, xn))
         grads = t.param_grads({"x": x, "unused": unused})
         assert grads["unused"].tolist() == [0.0]
 
@@ -201,7 +243,7 @@ class TestBackward:
         w = rng.normal(size=(5, 5))
         t = Tape()
         wn = t.leaf(w, param="w")
-        loss = sum_all(tanh(matmul(wn, t.leaf(rng.normal(size=5)))))
+        loss = local_sum(t, local_tanh(t, local_matmul(t, wn, t.leaf(rng.normal(size=5)))))
         t.backward(loss)
         first = t.param_grads({"w": w})["w"]
         t.backward(loss)
@@ -213,9 +255,26 @@ class TestBackward:
         with pytest.raises(ContractError):
             t.backward(t.leaf([1.0, 2.0]))
 
+    def test_loss_from_another_tape_rejected(self):
+        other = Tape()
+        loss = local_sum(other, other.leaf([1.0, 2.0]))
+        with pytest.raises(ContractError, match="not on this tape"):
+            Tape().backward(loss)
+
+    def test_slice_last_routes_gradient_to_its_segment(self):
+        t = Tape()
+        x = np.array([[1.0, 2.0, 3.0, 4.0], [5.0, 6.0, 7.0, 8.0]])
+        xn = t.leaf(x, param="x")
+        part = slice_last(t, xn, 1, 3)
+        assert part.value.tolist() == [[2.0, 3.0], [6.0, 7.0]]
+        t.backward(local_sum(t, part))
+        assert t.param_grads({"x": x})["x"].tolist() == [[0, 1, 1, 0], [0, 1, 1, 0]]
+        with pytest.raises(DimensionError):
+            slice_last(t, xn, 3, 5)
+
     def test_indexing_ops_roundtrip_gradients(self):
         m = np.arange(6.0).reshape(2, 3)
-        t = Tape()
+        t = RefTape()
         mn = t.leaf(m, param="m")
         r = row(mn, 1)
         s = scatter(r, [2, 0, 1], 4)
@@ -226,6 +285,39 @@ class TestBackward:
         expected = np.zeros_like(m)
         expected[1, 1] = 1.0
         assert np.array_equal(g, expected)
+
+
+class TestParamBinding:
+    def test_stacked_leaf_splits_gradient_per_name(self):
+        rng = np.random.default_rng(6)
+        params = {"a": rng.normal(size=(2, 3)), "b": rng.normal(size=(1, 3)),
+                  "a.b": rng.normal(size=2), "b.b": rng.normal(size=1)}
+        x = rng.normal(size=3)
+        t = Tape()
+        binding = ParamBinding(t, params)
+        w = binding.stacked(("a", "b"))
+        bias = binding.stacked(("a.b", "b.b"))
+        assert binding.stacked(("a", "b")) is w
+        assert w.value.tolist() == np.vstack([params["a"], params["b"]]).tolist()
+        weights = rng.normal(size=3)
+        z = local_add(t, local_matmul(t, w, t.leaf(x)), bias)
+        t.backward(local_sum(t, local_mul(t, z, t.leaf(weights))))
+        grads = t.param_grads(params)
+        assert np.array_equal(grads["a"], np.outer(weights[:2], x))
+        assert np.array_equal(grads["b"], np.outer(weights[2:], x))
+        assert grads["a.b"].tolist() == weights[:2].tolist()
+        assert grads["b.b"].tolist() == weights[2:].tolist()
+        # With ``out`` the blocks accumulate in place.
+        again = t.param_grads(params, out=grads)
+        assert again is grads
+        assert np.array_equal(grads["b"], 2 * np.outer(weights[2:], x))
+
+    def test_unknown_parameter_rejected(self):
+        t = Tape()
+        binding = ParamBinding(t, {"a": np.ones(2), "b": np.ones(1)})
+        t.backward(local_sum(t, binding.stacked(("a", "b"))))
+        with pytest.raises(ContractError, match="'b'"):
+            t.param_grads({"a": np.ones(2)})
 
 
 class TestAdam:
@@ -282,26 +374,46 @@ class TestAdam:
 
 class TestDropout:
     def test_eval_mode_is_identity(self):
-        t = Tape()
+        t = RefTape()
         x = t.leaf([1.0, 2.0, 3.0])
         assert dropout(x, 0.5, training=False) is x
 
     def test_rate_zero_is_identity(self):
-        t = Tape()
+        t = RefTape()
         x = t.leaf([1.0, 2.0])
         assert dropout(x, 0.0, training=True, rng=np.random.default_rng(0)) is x
 
     def test_inverted_scaling_preserves_mean(self):
-        t = Tape()
+        t = RefTape()
         x = t.leaf(np.ones(100_000))
         out = dropout(x, 0.25, training=True, rng=np.random.default_rng(7))
         assert abs(out.value.mean() - 1.0) <= 0.02
 
     def test_bad_rate_rejected(self):
-        t = Tape()
+        t = RefTape()
         for rate in (-0.1, 1.0, 1.5):
             with pytest.raises(ParameterError):
                 dropout(t.leaf([1.0]), rate, training=True, rng=np.random.default_rng(0))
+
+
+class TestDropoutMask:
+    def test_eval_mode_and_rate_zero_draw_nothing(self):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        assert dropout_mask((3,), 0.5, training=False, rng=rng) is None
+        assert dropout_mask((3,), 0.0, training=True, rng=rng) is None
+        assert rng.bit_generator.state == state
+
+    def test_mask_is_rescaled_keep_indicator(self):
+        mask = dropout_mask((1000,), 0.25, training=True, rng=np.random.default_rng(7))
+        assert set(np.unique(mask).tolist()) <= {0.0, 1.0 / 0.75}
+
+    def test_bad_rate_or_missing_rng_rejected(self):
+        for rate in (-0.1, 1.0, 1.5):
+            with pytest.raises(ParameterError):
+                dropout_mask((1,), rate, training=True, rng=np.random.default_rng(0))
+        with pytest.raises(ParameterError):
+            dropout_mask((1,), 0.5, training=True)
 
 
 class TestGradCheck:
@@ -314,8 +426,8 @@ class TestGradCheck:
         def loss_fn():
             t = Tape()
             wn = t.leaf(w, param="w")
-            err = add(matmul(wn, t.leaf(x)), mul(t.leaf(y), -1.0))
-            return t, sum_all(mul(err, err))
+            err = local_add(t, local_matmul(t, wn, t.leaf(x)), t.leaf(-y))
+            return t, local_sum(t, local_mul(t, err, err))
 
         report = grad_check(loss_fn, {"w": w}, h=1e-5)
         assert report.max_rel_err <= 1e-8
@@ -326,18 +438,18 @@ class TestGradCheck:
         w = rng.normal(size=(2, 2))
         x = rng.normal(size=2)
 
-        def bad_tanh(a):
+        def bad_tanh(t, a):
             out = np.tanh(a.value)
 
             def vjp(g):
                 return (g * (1.0 - out * out) * 1.5,)  # deliberately wrong by 1.5x
 
-            return a.tape.op(out, (a,), vjp)
+            return t.op(out, (a,), vjp)
 
         def loss_fn():
             t = Tape()
             wn = t.leaf(w, param="w")
-            return t, sum_all(bad_tanh(matmul(wn, t.leaf(x))))
+            return t, local_sum(t, bad_tanh(t, local_matmul(t, wn, t.leaf(x))))
 
         report = grad_check(loss_fn, {"w": w}, h=1e-5)
         assert report.failing(1e-4) == ["w"]
@@ -366,7 +478,7 @@ class TestMisc:
     def test_dot_gradients(self):
         a = np.array([1.0, 2.0])
         b = np.array([3.0, 4.0])
-        t = Tape()
+        t = RefTape()
         an = t.leaf(a, param="a")
         bn = t.leaf(b, param="b")
         out = dot(an, bn)
@@ -377,7 +489,7 @@ class TestMisc:
         assert grads["b"].tolist() == [1.0, 2.0]
 
     def test_neg(self):
-        t = Tape()
+        t = RefTape()
         assert neg(t.leaf([1.0, -2.0])).value.tolist() == [-1.0, 2.0]
 
     def test_non_recording_tape_same_values(self):
@@ -387,9 +499,34 @@ class TestMisc:
 
         def run(recording):
             t = Tape(recording=recording)
-            return t, tanh(matmul(t.leaf(w), t.leaf(x))).value
+            return t, local_tanh(t, local_matmul(t, t.leaf(w), t.leaf(x))).value
 
         (recorded, value), (unrecorded, same) = run(True), run(False)
         assert np.array_equal(value, same)
         assert len(recorded.nodes) == 4
         assert unrecorded.nodes == []
+
+
+class TestSurface:
+    def test_every_public_engine_name_is_used_in_the_package(self):
+        """Each public top-level function and class of ``treenlg.engine`` is
+        imported from it, or read as ``engine.<name>``, by another module of
+        the package (``__init__``'s exports included), so the engine carries
+        no op that nothing calls."""
+        package = Path(treenlg.__file__).parent
+        engine_tree = ast.parse((package / "engine.py").read_text())
+        public = {node.name for node in engine_tree.body
+                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                  and not node.name.startswith("_")}
+        used: set[str] = set()
+        for path in package.glob("*.py"):
+            if path.name == "engine.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("engine"):
+                    used.update(alias.name for alias in node.names)
+                elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                      and node.value.id == "engine"):
+                    used.add(node.attr)
+        assert public, "no public names found in engine.py"
+        assert sorted(public - used) == []

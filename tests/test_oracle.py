@@ -1,5 +1,6 @@
-"""The fused decoder kernels and the stacked search against the reference
-copies in ``tests/oracle``: random models in all three modes at hidden 8 and
+"""The fused encoder, decoder and loss kernels and the stacked search against
+the reference copies in ``tests/oracle``, which run on the reference engine
+with its fine-grained ops: random models in all three modes at hidden 8 and
 100, random SRs, dropout off and on with one rng seed on both sides (so the
 order of the mask draws is part of the contract).
 
@@ -14,13 +15,15 @@ import numpy as np
 import pytest
 
 from oracle import decoder as ref_decoder
+from oracle import engine as ref_engine
 from oracle import generation as ref_generation
 from oracle import training as ref_training
+from oracle import tree as ref_tree
 from test_acceptance import random_sr
 from test_generation import zeroed_model
 from treenlg import generation
 from treenlg.decoder import DecoderState, attend, make_feedback_input, step
-from treenlg.engine import ParamBinding, Tape, concat, mul, sum_all
+from treenlg.engine import ParamBinding, Tape
 from treenlg.errors import ContractError
 from treenlg.model import MODES, Model, Vocabulary, prepare_example
 from treenlg.semantics import REQUEST, Example
@@ -34,6 +37,20 @@ def rel_err(a, b) -> float:
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     scale = max(float(np.max(np.abs(a), initial=0.0)), float(np.max(np.abs(b), initial=0.0)))
     return float(np.max(np.abs(a - b), initial=0.0)) / scale if scale else 0.0
+
+
+def weighted_sum(tape, nodes, weights):
+    """sum_k <nodes[k], weights[k]> as one op, on either side's tape."""
+    value = sum(float(np.sum(n.value * w)) for n, w in zip(nodes, weights))
+    return tape.op(value, tuple(nodes), lambda g: tuple(g * w for w in weights))
+
+
+def sides(model):
+    """(tape, binding, encode_sr, attend) of the reference, then of the package."""
+    ref_tape, new_tape = ref_engine.Tape(), Tape()
+    return ((ref_tape, ref_engine.ParamBinding(ref_tape, model.params), ref_tree.encode_sr,
+             ref_decoder.attend),
+            (new_tape, ParamBinding(new_tape, model.params), Model.encode_sr, attend))
 
 
 def sentence(sr) -> str:
@@ -84,6 +101,40 @@ class TestTeacherForced:
                     assert rel_err(ref_grads[name], new_grads[name]) <= TOL, (where, name)
 
 
+class TestEncoder:
+    def test_states_and_gradients_match(self, cases):
+        """Node states (h and c), label states and the embedding agree, and
+        so does every encoder-parameter gradient of a random weighting of
+        the embedding and the label states."""
+        for mode, hidden, model, _, srs in cases:
+            rng = np.random.default_rng(hidden)
+            for n, sr in enumerate(srs):
+                where = f"{mode} hidden {hidden} sr {n}"
+                encoded = [(tape, encode_sr(model, sr, binding))
+                           for tape, binding, encode_sr, _ in sides(model)]
+                (_, ref), (_, new) = encoded
+                assert sorted(ref.node_states) == sorted(new.node_states), where
+                for i, (h, c) in ref.node_states.items():
+                    assert rel_err(h.value, new.node_states[i][0].value) <= TOL, (where, i)
+                    assert rel_err(c.value, new.node_states[i][1].value) <= TOL, (where, i)
+                labelled = [(layer, label) for layer, states in ref.layer_states.items()
+                            for label in sorted(states)]
+                assert labelled == [(layer, label) for layer, states in new.layer_states.items()
+                                    for label in sorted(states)], where
+                outputs = [[enc.embedding] + [enc.layer_states[layer][label]
+                                              for layer, label in labelled]
+                           for _, enc in encoded]
+                for a, b in zip(*outputs):
+                    assert rel_err(a.value, b.value) <= TOL, where
+                weights = [rng.normal(size=hidden) for _ in outputs[0]]
+                grads = []
+                for (tape, _), nodes in zip(encoded, outputs):
+                    tape.backward(weighted_sum(tape, nodes, weights))
+                    grads.append(tape.param_grads(model.params))
+                for name in model.params:
+                    assert rel_err(grads[0][name], grads[1][name]) <= TOL, (where, name)
+
+
 class TestKernels:
     def test_attention_distributions_and_gradients_match(self, cases):
         for mode, hidden, model, _, srs in cases:
@@ -94,17 +145,14 @@ class TestKernels:
                 s = rng.normal(size=hidden)
                 weights = None
                 outputs = []
-                for attend_fn in (ref_decoder.attend, attend):
-                    tape = Tape()
-                    binding = ParamBinding(tape, model.params)
-                    encoded = model.encode_sr(sr, binding)
+                for tape, binding, encode_sr, attend_fn in sides(model):
+                    encoded = encode_sr(model, sr, binding)
                     s_node = tape.leaf(s)
                     dists = attend_fn(s_node, encoded, model.ontology)
                     layers = (dists.domain, dists.act, dists.slot)
                     if weights is None:
                         weights = [rng.normal(size=n.shape) for n in layers]
-                    loss = sum_all(concat([sum_all(mul(node, tape.leaf(w)))
-                                           for node, w in zip(layers, weights)]))
+                    loss = weighted_sum(tape, layers, weights)
                     tape.backward(loss)
                     outputs.append((dists, s_node.grad, tape.param_grads(model.params)))
                 (ref, ref_ds, ref_grads), (new, new_ds, new_grads) = outputs

@@ -1,19 +1,22 @@
+import gc
 import json
 import math
 import struct
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treenlg.engine import Tape, softmax
+from treenlg.engine import Tape, softmax_last
 from treenlg.errors import CompatibilityError, ConfigError, ContractError
 from treenlg.decoder import AttentionDists
 from treenlg.model import (
     Model,
     Vocabulary,
     load_checkpoint,
+    param_shapes,
     prepare_example,
     rng_stream,
     save_checkpoint,
@@ -51,52 +54,52 @@ def small_config(**overrides):
 
 class TestLosses:
     def uniform_dists(self, tape, vocab_size, count):
-        return [softmax(tape.leaf(np.zeros(vocab_size))) for _ in range(count)]
+        return [tape.leaf(softmax_last(np.zeros(vocab_size))) for _ in range(count)]
 
     def test_uniform_nll(self):
         tape = Tape()
         dists = self.uniform_dists(tape, 10, 4)
-        loss = nll_loss(dists, [0, 3, 5, 9])
+        loss = nll_loss(tape, dists, [0, 3, 5, 9])
         assert float(loss.value) == pytest.approx(4 * math.log(10))
 
     def test_confident_nll_tends_to_zero(self):
         tape = Tape()
         logits = np.zeros(6)
         logits[2] = 30.0
-        loss = nll_loss([softmax(tape.leaf(logits))], [2])
+        loss = nll_loss(tape, [tape.leaf(softmax_last(logits))], [2])
         assert float(loss.value) == pytest.approx(0.0, abs=1e-10)
 
     def test_quarter_probability(self):
         tape = Tape()
-        loss = nll_loss([softmax(tape.leaf(np.zeros(4)))], [1])
+        loss = nll_loss(tape, [tape.leaf(softmax_last(np.zeros(4)))], [1])
         assert float(loss.value) == pytest.approx(math.log(4))
 
     def test_target_out_of_vocabulary(self):
         tape = Tape()
         with pytest.raises(ContractError):
-            nll_loss([softmax(tape.leaf(np.zeros(4)))], [7])
+            nll_loss(tape, [tape.leaf(softmax_last(np.zeros(4)))], [7])
 
     def test_att_loss_reduces_to_nll_without_placeholders(self):
         tape = Tape()
-        nll = nll_loss(self.uniform_dists(tape, 4, 2), [0, 1])
-        assert float(att_loss(nll, []).value) == float(nll.value)
+        nll = nll_loss(tape, self.uniform_dists(tape, 4, 2), [0, 1])
+        assert float(att_loss(tape, nll, []).value) == float(nll.value)
 
     def test_att_loss_zero_penalty_at_certainty(self):
         tape = Tape()
-        nll = nll_loss(self.uniform_dists(tape, 4, 1), [0])
+        nll = nll_loss(tape, self.uniform_dists(tape, 4, 1), [0])
         sure = AttentionDists(tape.leaf(np.array([1.0, 0.0])),
                               tape.leaf(np.array([0.0, 1.0])),
                               tape.leaf(np.array([1.0])))
-        total = att_loss(nll, [(sure, (0, 1, 0))])
+        total = att_loss(tape, nll, [(sure, (0, 1, 0))])
         assert float(total.value) == pytest.approx(float(nll.value))
 
     def test_att_loss_uniform_two_labels(self):
         tape = Tape()
-        nll = nll_loss(self.uniform_dists(tape, 4, 1), [0])
+        nll = nll_loss(tape, self.uniform_dists(tape, 4, 1), [0])
         half = AttentionDists(tape.leaf(np.array([0.5, 0.5])),
                               tape.leaf(np.array([0.5, 0.5])),
                               tape.leaf(np.array([0.5, 0.5])))
-        total = att_loss(nll, [(half, (0, 0, 1))])
+        total = att_loss(tape, nll, [(half, (0, 0, 1))])
         assert float(total.value) == pytest.approx(float(nll.value) + 3 * math.log(2))
 
     def test_att_objective_never_below_plain(self, small_corpus):
@@ -109,6 +112,32 @@ class TestLosses:
         for p in prep:
             fwd = teacher_forced(model, p, config, training=False, recording=False)
             assert float(fwd.loss.value) >= float(fwd.nll.value) - 1e-12
+
+
+class TestTapeLifetime:
+    def test_finished_tape_is_freed_without_the_cycle_collector(self, small_corpus):
+        """Nodes do not refer to their tape, so a teacher-forced tape and its
+        gradients go as soon as the result is dropped, by reference counting
+        alone."""
+        corpus, ontology = small_corpus
+        config = small_config()
+        preps = [prepare_example(e, "tree+att", ontology) for e in corpus.split("train")[:6]]
+        prep = next(p for p in preps if p.labels)
+        vocab = Vocabulary.build([p.tokens for p in preps], placeholder_only=True)
+        model = Model.create("tree+att", ontology, vocab, config.hidden,
+                             rng_stream(0, STREAM_INIT))
+        gc.disable()
+        try:
+            fwd = teacher_forced(model, prep, config, training=True,
+                                 rng=np.random.default_rng(0))
+            fwd.tape.backward(fwd.loss)
+            fwd.tape.param_grads(model.params)
+            tape, loss = weakref.ref(fwd.tape), weakref.ref(fwd.loss)
+            del fwd
+            assert tape() is None
+            assert loss() is None
+        finally:
+            gc.enable()
 
 
 class TestTrainLoop:
@@ -241,6 +270,73 @@ class TestCheckpointValidation:
             {"dec.i.h": np.zeros((4, 3))}))
         with pytest.raises(CompatibilityError, match="dec.i.h"):
             load_checkpoint(path)
+
+    def test_non_finite_tensor_rejected(self, tmp_path):
+        data = self.saved(tmp_path, lambda params: None).read_bytes()
+        path = tmp_path / "nan.ckpt"
+        # The last 8 bytes are the last value of the last tensor.
+        path.write_bytes(data[:-8] + struct.pack("<d", float("nan")))
+        with pytest.raises(CompatibilityError, match="non-finite"):
+            load_checkpoint(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        data = self.saved(tmp_path, lambda params: None).read_bytes()
+        path = tmp_path / "trailing.ckpt"
+        path.write_bytes(data + bytes(8))
+        with pytest.raises(CompatibilityError, match="8 trailing bytes"):
+            load_checkpoint(path)
+
+    def test_invalid_config_rejected(self, tmp_path):
+        data = self.saved(tmp_path, lambda params: None).read_bytes()
+        magic = b"TREENLG1\n"
+        (length,) = struct.unpack_from("<Q", data, len(magic))
+        start = len(magic) + 8
+        header = json.loads(data[start:start + length])
+        header["config"] = {"hidden": -1}
+        raw = json.dumps(header).encode()
+        path = tmp_path / "config.ckpt"
+        path.write_bytes(magic + struct.pack("<Q", len(raw)) + raw + data[start + length:])
+        with pytest.raises(CompatibilityError, match="corrupt.*hidden"):
+            load_checkpoint(path)
+
+    @given(damage=st.one_of(
+        st.tuples(st.just("truncate"), st.integers(min_value=0, max_value=10**6)),
+        st.tuples(st.just("flip"), st.integers(min_value=0, max_value=10**6),
+                  st.integers(min_value=1, max_value=255))))
+    @settings(max_examples=300, deadline=None)
+    def test_damaged_checkpoint_rejected_or_sound(self, pristine, tmp_path_factory, damage):
+        """A truncated checkpoint, or one with a single byte flipped, either
+        fails to load with ``CompatibilityError`` or loads as a sound one:
+        finite tensors of their declared shapes and a valid config."""
+        data = pristine
+        if damage[0] == "truncate":
+            damaged = data[:damage[1] % len(data)]
+        else:
+            position = damage[1] % len(data)
+            damaged = bytearray(data)
+            damaged[position] ^= damage[2]
+            damaged = bytes(damaged)
+        path = tmp_path_factory.getbasetemp() / "damaged.ckpt"
+        path.write_bytes(damaged)
+        try:
+            ckpt = load_checkpoint(path)
+        except CompatibilityError:
+            return
+        model = ckpt.model
+        shapes = param_shapes(model.mode, model.ontology, len(model.vocab), model.hidden)
+        assert sorted(model.params) == sorted(shapes)
+        for name, value in model.params.items():
+            assert value.shape == shapes[name], name
+            assert np.isfinite(value).all(), name
+        TrainConfig.from_json(ckpt.config)
+
+    @pytest.fixture(scope="class")
+    def pristine(self, tmp_path_factory) -> bytes:
+        """The bytes of a hidden-4 checkpoint with a full training config."""
+        path = self.saved(tmp_path_factory.mktemp("pristine"), lambda params: None)
+        ckpt = load_checkpoint(path)
+        save_checkpoint(path, ckpt.model, TrainConfig(hidden=4).to_json(), 1, {"ser": 0.5})
+        return path.read_bytes()
 
 
 class TestAdaptation:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from treenlg.engine import ParamBinding, Tape, sum_all, tanh
+from treenlg.engine import ParamBinding, Tape
 from treenlg.semantics import (
     NO_SLOT_PROPERTY,
     NO_SLOT_TOKEN,
@@ -210,7 +210,7 @@ class TestEncode:
 
         tape = Tape()
         enc = encode(tree, ParamBinding(tape, params), index)
-        weighted = sum_all(engine_mul(enc.embedding, probe, tape))
+        weighted = probe_dot(tape, enc.embedding, probe)
         tape.backward(weighted)
         grads = tape.param_grads(params)
 
@@ -231,10 +231,9 @@ class TestEncode:
                 assert abs(gflat[i] - numeric) / denom <= 1e-4
 
 
-def engine_mul(node, const_vec, tape):
-    from treenlg.engine import mul
-
-    return mul(node, tape.leaf(const_vec))
+def probe_dot(tape, node, const_vec):
+    """<node, const_vec> as one op on the tape."""
+    return tape.op(np.dot(node.value, const_vec), (node,), lambda g: (g * const_vec,))
 
 
 class TestFlatBaseline:
