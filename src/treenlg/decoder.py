@@ -14,9 +14,11 @@ into the next step's input as a record of what was just generated.
 
 ``make_feedback_input``, ``step`` and ``attend`` are the only definition of
 this math, for training and decoding alike.  Each computes its forward pass
-in numpy over one hypothesis ([n] inputs) or a stack of K hypotheses
-([K, n], on a non-recording tape only) and registers a few fused ops with
-closed-form adjoints instead of one op per gate.
+in numpy over one row ([n] inputs) or a stack of K rows ([K, n]): the
+hypotheses of a beam, or the sentences of a training minibatch, on a
+recording tape as on a non-recording one.  Each registers a few fused ops
+with closed-form adjoints instead of one op per gate; a weight's adjoint is
+one Δᵀ·X product over the rows.
 """
 
 from __future__ import annotations
@@ -29,15 +31,15 @@ from .engine import (
     Node,
     ParamBinding,
     Tape,
-    dropout_mask,
     init_uniform,
     logistic,
     slice_last,
     softmax_last,
+    take_rows,
 )
 from .errors import ContractError, DimensionError
 from .semantics import Ontology
-from .tree import EncodedTree
+from .tree import ATTENDED, EncodedTree, LabelStates
 
 CELL_GATES = ("i", "f", "o", "g")
 STATE_GATES = ("r", "w", "d")
@@ -77,14 +79,14 @@ class DecoderState:
     s: Node
 
     def take(self, tape: Tape, rows) -> "DecoderState":
-        """The given rows of the state, stacked, as leaves of ``tape``; a
-        one-hypothesis state counts as a stack of one."""
-        return DecoderState(*(tape.leaf(np.atleast_2d(n.value)[rows])
-                              for n in (self.h, self.c, self.s)))
+        """The given rows of the state, stacked, as views on ``tape``; a
+        one-hypothesis state counts as a stack of one.  A row may repeat
+        only on a non-recording tape."""
+        return DecoderState(*(take_rows(tape, n, rows) for n in (self.h, self.c, self.s)))
 
 
 def initial_state(encoded: EncodedTree, hidden: int, binding: ParamBinding) -> DecoderState:
-    zeros = binding.tape.leaf(np.zeros(hidden))
+    zeros = binding.tape.leaf(np.zeros(encoded.embedding.shape[:-1] + (hidden,)))
     return DecoderState(h=zeros, c=zeros, s=encoded.embedding)
 
 
@@ -95,23 +97,28 @@ _S_STACK = tuple(f"dec.{g}.s" for g in STATE_GATES)
 _B_STACK = tuple(f"dec.{g}.b" for g in _ALL_GATES)
 
 
-def _check_stack(tape: Tape, *values: np.ndarray) -> None:
-    """Inputs are one hypothesis ([n]) or a stack of them ([K, n]); the
-    fused adjoints below are written for one, so a recording tape takes
-    only that."""
+def _check_stack(*values: np.ndarray) -> None:
+    """Inputs are one row ([n]) or a stack of them ([K, n])."""
     for v in values:
         if v.ndim not in (1, 2) or v.shape[:-1] != values[0].shape[:-1]:
             raise DimensionError(f"decoder inputs must share a leading axis, got "
                                  f"{[u.shape for u in values]}")
-        if v.ndim == 2 and tape.recording:
-            raise ContractError("stacked (2-d) decoder inputs need a non-recording tape")
+
+
+def _rows_t(d: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Σ_k outer(d[k], x[k]) as one product (Δᵀ·X); one row is a stack of one."""
+    return d.reshape(-1, d.shape[-1]).T @ x.reshape(-1, x.shape[-1])
+
+
+def _row_sum(d: np.ndarray) -> np.ndarray:
+    return d.reshape(-1, d.shape[-1]).sum(axis=0)
 
 
 def step(binding: ParamBinding, x: Node, state: DecoderState,
-         dropout_rate: float = 0.0, training: bool = False,
-         rng: np.random.Generator | None = None) -> tuple[DecoderState, Node]:
-    """One decoder step for one hypothesis ([H] inputs) or for a stack of
-    them ([K, H]): returns the new state and the word distribution(s).
+         mask: np.ndarray | None = None) -> tuple[DecoderState, Node]:
+    """One decoder step for one row ([H] inputs) or for a stack of them
+    ([K, H]): returns the new state and the word distribution(s).  ``mask``
+    is the step output's inverted-dropout mask, if any.
 
     Two fused ops carry it.  The cell op computes all seven gates (two
     stacked matmuls for the input and hidden paths, a third against the
@@ -123,14 +130,13 @@ def step(binding: ParamBinding, x: Node, state: DecoderState,
     wx, wh = binding.stacked(_X_STACK), binding.stacked(_H_STACK)
     ws, b = binding.stacked(_S_STACK), binding.stacked(_B_STACK)
     hidden = wh.shape[1]
-    _check_stack(tape, x.value, state.h.value, state.c.value, state.s.value)
+    _check_stack(x.value, state.h.value, state.c.value, state.s.value)
     if x.shape[-1] != wx.shape[1] or any(n.shape[-1] != hidden
                                          for n in (state.h, state.c, state.s)):
         raise DimensionError(f"decoder step expects input width {wx.shape[1]} and state "
                              f"width {hidden}, got {x.shape} and {state.h.shape}")
     packed = _cell(tape, x, state, wx, wh, ws, b, hidden)
     h, c, s = (slice_last(tape, packed, k * hidden, (k + 1) * hidden) for k in range(3))
-    mask = dropout_mask(h.shape, dropout_rate, training, rng)
     return DecoderState(h=h, c=c, s=s), _output(tape, binding["dec.out.w"], h, mask)
 
 
@@ -152,7 +158,7 @@ def _cell(tape: Tape, x: Node, state: DecoderState, wx: Node, wh: Node, ws: Node
     h = o * tc + (1.0 - o) * ts
 
     def vjp(grad: np.ndarray):
-        gh, gc, gs = grad[:H], grad[H:2 * H], grad[2 * H:]
+        gh, gc, gs = grad[..., :H], grad[..., H:2 * H], grad[..., 2 * H:]
         dc = gc + gh * o * (1.0 - tc * tc)
         ds = gs + gh * (1.0 - o) * (1.0 - ts * ts)
         dz = np.concatenate([dc * g * i * (1.0 - i),
@@ -161,10 +167,10 @@ def _cell(tape: Tape, x: Node, state: DecoderState, wx: Node, wh: Node, ws: Node
                              dc * i * (1.0 - g * g),
                              ds * s_v * r * (1.0 - r),
                              ds * d * w * (1.0 - w),
-                             ds * w * (1.0 - d * d)])
-        dz_state = dz[4 * H:]
+                             ds * w * (1.0 - d * d)], axis=-1)
+        dz_state = dz[..., 4 * H:]
         return (dz @ wx.value, dz @ wh.value, dc * f, ds * r + dz_state @ ws.value,
-                np.outer(dz, x_v), np.outer(dz, h_v), np.outer(dz_state, s_v), dz)
+                _rows_t(dz, x_v), _rows_t(dz, h_v), _rows_t(dz_state, s_v), _row_sum(dz))
 
     return tape.op(np.concatenate([h, c, s], axis=-1),
                    (x, state.h, state.c, state.s, wx, wh, ws, b), vjp)
@@ -175,9 +181,9 @@ def _output(tape: Tape, w_out: Node, h: Node, mask: np.ndarray | None) -> Node:
     probs = softmax_last(h_out @ w_out.value.T)
 
     def vjp(grad: np.ndarray):
-        d_logits = probs * (grad - np.dot(grad, probs))
+        d_logits = probs * (grad - np.sum(grad * probs, axis=-1, keepdims=True))
         d_h = d_logits @ w_out.value
-        return np.outer(d_logits, h_out), (d_h if mask is None else d_h * mask)
+        return _rows_t(d_logits, h_out), (d_h if mask is None else d_h * mask)
 
     return tape.op(probs, (w_out, h), vjp)
 
@@ -195,47 +201,56 @@ class AttentionDists:
         return (self.domain.value.copy(), self.act.value.copy(), self.slot.value.copy())
 
 
-_LAYER_INDEX = {"domain": "domain_index", "act": "act_index", "slot": "slot_index"}
 _LAYER_SIZE = {"domain": "domains", "act": "acts", "slot": "slots"}
 
 
-def attend(s: Node, encoded: EncodedTree, ontology: Ontology) -> AttentionDists:
-    """Score the semantic state ([H], or [K, H] for a stack of hypotheses)
-    against each layer's activated node states and normalise per layer.
+def attend(s: Node, encoded: EncodedTree, ontology: Ontology,
+           trees=None) -> AttentionDists:
+    """Score semantic states against their trees' activated label states and
+    normalise per layer.
 
+    ``s`` is one state ([H]) or a stack ([K, H]); row k attends to tree
+    ``trees[k]`` of ``encoded``, or, with ``trees`` None, to its only tree.
     One fused op per layer, on the tape of ``encoded`` (which must hold
-    ``s``): the label states, in sorted label order, form an [labels, H]
-    matrix, so the scores are one matrix product; the softmax is scattered
-    to the layer's canonical label positions."""
-    _check_stack(encoded.tape, s.value)
+    ``s``): the scores are one product with the layer's [labels, H] label
+    states, and each row's softmax over its tree's labels is scattered to
+    the layer's canonical label positions."""
+    _check_stack(s.value)
+    n_rows = 1 if s.value.ndim == 1 else s.shape[0]
+    which = np.zeros(n_rows, dtype=np.intp) if trees is None else np.asarray(trees, np.intp)
+    if which.shape != (n_rows,):
+        raise DimensionError(f"{which.size} trees for {n_rows} attending rows")
     out = {}
-    for layer in ("domain", "act", "slot"):
-        states = encoded.layer_states[layer]
-        if not states:
+    for layer in ATTENDED:
+        states = encoded.labels.get(layer)
+        if states is None or not np.all(states.counts[which]):
             raise ContractError(f"no activated {layer} nodes to attend over")
-        labels = sorted(states)
-        index_of = getattr(ontology, _LAYER_INDEX[layer])
-        size = len(getattr(ontology, _LAYER_SIZE[layer]))
-        out[layer] = _layer_attention(encoded.tape, s, [states[label] for label in labels],
-                                      [index_of(label) for label in labels], size)
+        out[layer] = _layer_attention(encoded.tape, s, states, which,
+                                      len(getattr(ontology, _LAYER_SIZE[layer])))
     return AttentionDists(out["domain"], out["act"], out["slot"])
 
 
-def _layer_attention(tape: Tape, s: Node, label_states: list[Node], index: list[int],
+def _layer_attention(tape: Tape, s: Node, states: LabelStates, which: np.ndarray,
                      size: int) -> Node:
-    m = np.stack([n.value for n in label_states])
+    m = states.matrix.value
     if m.shape[1:] != s.shape[-1:]:
         raise DimensionError(f"attention state width {s.shape} vs label states {m.shape}")
-    probs = softmax_last(s.value @ m.T)
-    value = np.zeros(s.shape[:-1] + (size,))
-    value[..., index] = probs
+    s2 = s.value.reshape(-1, s.shape[-1])
+    # Each row scores every label row and masks out other trees' labels.
+    scores = np.where(states.owner == which[:, None], s2 @ m.T, -np.inf)
+    probs = softmax_last(scores)
+    # Scatter to canonical positions; a row's masked-out labels hold exact
+    # zeros, so each output is one probability plus zeros.
+    onehot = np.zeros((len(m), size))
+    onehot[np.arange(len(m)), states.index] = 1.0
+    value = probs @ onehot
 
     def vjp(grad: np.ndarray):
-        gp = grad[index]
-        d_scores = probs * (gp - np.dot(gp, probs))
-        return (d_scores @ m,) + tuple(d_scores[j] * s.value for j in range(len(index)))
+        gp = grad.reshape(-1, size) @ onehot.T
+        d_scores = probs * (gp - np.sum(gp * probs, axis=1, keepdims=True))
+        return (d_scores @ m).reshape(s.shape), d_scores.T @ s2
 
-    return tape.op(value, (s, *label_states), vjp)
+    return tape.op(value.reshape(s.shape[:-1] + (size,)), (s, states.matrix), vjp)
 
 
 @dataclass
@@ -303,36 +318,44 @@ def resolve_placeholder(step_index: int, domain_dist: np.ndarray, act_dist: np.n
 
 def make_feedback_input(word_id, dists: AttentionDists | None,
                         binding: ParamBinding, feedback_size: int,
-                        dropout_rate: float = 0.0, training: bool = False,
-                        rng: np.random.Generator | None = None) -> Node:
+                        mask: np.ndarray | None = None, rows=None) -> Node:
     """Decoder input: word embedding plus the feedback block, which holds the
     previous step's three attention distributions right after a placeholder
     was emitted and zeros at every other step.
 
-    ``word_id`` is one id, or an array of K ids for a stack of hypotheses;
-    then ``dists`` holds [K, n] distributions, zero in the rows of
-    hypotheses whose last word was not a placeholder.  One fused op: the
-    embedding lookup, its dropout and the concatenation."""
+    ``word_id`` is one id, or an array of K ids for a stack of rows; then
+    ``dists`` holds the distributions of the rows listed in ``rows`` (all
+    rows if None), and the other rows get zeros.  ``mask`` is the word
+    embedding's inverted-dropout mask, if any.  One fused op: the embedding
+    lookup, its dropout and the concatenation."""
     emb = binding["dec.emb"]
     ids = np.asarray(word_id, dtype=np.intp)
     if ids.size and not (0 <= ids.min() and ids.max() < emb.shape[0]):
         raise ContractError(f"word id out of range for a vocabulary of {emb.shape[0]}")
     word = emb.value[ids]
-    mask = dropout_mask(word.shape, dropout_rate, training, rng)
     if mask is not None:
         word = word * mask
-    parts = () if dists is None else (dists.domain, dists.act, dists.slot)
-    _check_stack(binding.tape, word, *(p.value for p in parts))
-    feedback = [p.value for p in parts] or [np.zeros(word.shape[:-1] + (feedback_size,))]
     hidden = word.shape[-1]
+    feedback = np.zeros(word.shape[:-1] + (feedback_size,))
+    parts = () if dists is None else (dists.domain, dists.act, dists.slot)
+    at = Ellipsis if rows is None else rows
+    if parts:
+        _check_stack(*(p.value for p in parts))
+        block = np.concatenate([p.value for p in parts], axis=-1)
+        if block.shape != feedback[at].shape:
+            raise DimensionError(f"feedback block of shape {block.shape} for rows of "
+                                 f"shape {feedback[at].shape}")
+        feedback[at] = block
 
     def vjp(grad: np.ndarray):
+        d_word = grad[..., :hidden] if mask is None else grad[..., :hidden] * mask
         d_emb = np.zeros_like(emb.value)
-        d_emb[ids] = grad[:hidden] if mask is None else grad[:hidden] * mask
-        grads, offset = [d_emb], hidden
+        np.add.at(d_emb, ids, d_word)
+        d_block = grad[..., hidden:][at]
+        grads, offset = [d_emb], 0
         for p in parts:
-            grads.append(grad[offset:offset + p.shape[0]])
-            offset += p.shape[0]
+            grads.append(d_block[..., offset:offset + p.shape[-1]])
+            offset += p.shape[-1]
         return tuple(grads)
 
-    return binding.tape.op(np.concatenate([word] + feedback, axis=-1), (emb, *parts), vjp)
+    return binding.tape.op(np.concatenate([word, feedback], axis=-1), (emb, *parts), vjp)

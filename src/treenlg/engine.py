@@ -10,6 +10,11 @@ not refer to their tape: kernels take it from their ``ParamBinding``, and a
 finished tape is freed by reference counting.  All data is 64-bit; a leaf or
 op value with NaN/Inf is rejected when it is registered, so a blow-up is
 caught in the kernel that made it.
+
+A kernel's inputs may be one row ([n]) or a stack of K rows ([K, n]), on a
+recording tape as on a non-recording one: one tape holds a whole
+minibatch.  The adjoint of a weight shared by the rows is the sum of the
+per-row adjoints, formed as one matrix product (Δᵀ·X) over the stack.
 """
 
 from __future__ import annotations
@@ -61,7 +66,7 @@ class Node:
 
 
 class Tape:
-    """Single-owner computation graph; rebuilt per example.
+    """Single-owner computation graph; rebuilt per minibatch.
 
     With ``recording=False`` the same numeric path is executed but no
     nodes or adjoint closures are kept, which makes pure inference cheaper.
@@ -90,7 +95,9 @@ class Tape:
         return self._append(value, parents, vjp)
 
     def backward(self, loss: Node) -> None:
-        """Populate ``grad`` on every node reachable from the scalar ``loss``."""
+        """Populate ``grad`` on every leaf reachable from the scalar ``loss``.
+        An op's adjoint is dropped once its parents have theirs, so a
+        minibatch's intermediate adjoints are not all held at once."""
         if loss.value.shape != ():
             raise ContractError(f"loss must be a scalar, got shape {loss.value.shape}")
         if loss not in self.nodes:
@@ -103,6 +110,7 @@ class Tape:
             if node.grad is None or node.vjp is None:
                 continue
             parent_grads = node.vjp(node.grad)
+            node.grad = None
             for parent, pg in zip(node.parents, parent_grads):
                 if pg is None:
                     continue
@@ -197,6 +205,25 @@ def slice_last(tape: Tape, a: Node, start: int, stop: int) -> Node:
     return tape.op(value, (a,), vjp)
 
 
+def take_rows(tape: Tape, a: Node, rows) -> Node:
+    """Rows of a stack ([K, n]; a single row [n] counts as a stack of one):
+    ``rows`` is an int (giving one [n] row), a slice or an index array,
+    whose entries must be distinct on a recording tape."""
+    if a.value.ndim not in (1, 2):
+        raise DimensionError(f"take_rows needs a stack of rows, got shape {a.shape}")
+    stack = a.value.reshape(-1, a.shape[-1])
+    value = stack[rows]
+    if tape.recording and np.ndim(rows) == 1 and len(np.unique(rows)) != len(rows):
+        raise ContractError("take_rows on a recording tape needs distinct rows")
+
+    def vjp(g: Array):
+        z = np.zeros_like(stack)
+        z[rows] = g
+        return (z.reshape(a.shape),)
+
+    return tape.op(value, (a,), vjp)
+
+
 def dropout_mask(shape: tuple[int, ...], rate: float, training: bool,
                  rng: np.random.Generator | None = None) -> Array | None:
     """Inverted-dropout mask, already rescaled by 1/(1-rate), drawn as one
@@ -253,6 +280,14 @@ class Adam:
             theta -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
+def global_norm(grads: Mapping[str, Array]) -> float:
+    """L2 norm of all gradients taken together."""
+    total = 0.0
+    for g in grads.values():
+        total += float(np.sum(g * g))
+    return float(np.sqrt(total))
+
+
 def clip_gradients(grads: dict[str, Array], max_norm: float) -> float:
     """Scale all gradients in place so their global L2 norm is at most ``max_norm``.
 
@@ -260,10 +295,7 @@ def clip_gradients(grads: dict[str, Array], max_norm: float) -> float:
     """
     if not max_norm > 0.0:  # also rejects NaN
         raise ParameterError(f"clip norm must be positive, got {max_norm}")
-    total = 0.0
-    for g in grads.values():
-        total += float(np.sum(g * g))
-    norm = float(np.sqrt(total))
+    norm = global_norm(grads)
     if norm > max_norm:
         scale = max_norm / norm
         for g in grads.values():

@@ -172,6 +172,14 @@ class Model:
             return enc.encode(enc.build_tree(sr, self.ontology), binding, self.token_index)
         return enc.encode_flat(sr, self.ontology, binding)
 
+    def encode_batch(self, srs: list[SemanticRepresentation],
+                     binding: ParamBinding) -> enc.EncodedTree:
+        """A minibatch of SRs as one encoding, with a [B, H] embedding."""
+        if self.uses_tree:
+            return enc.encode_batch([enc.build_tree(sr, self.ontology) for sr in srs],
+                                    binding, self.token_index)
+        return enc.encode_flat_batch(srs, self.ontology, binding)
+
     def extend_vocab(self, new_words: list[str], rng: np.random.Generator,
                      scale: float = 0.1) -> int:
         """Grow the vocabulary (fine-tuning on a new domain brings new words);

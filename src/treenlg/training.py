@@ -4,8 +4,10 @@ mode x fraction x seed experiment matrix.
 The plain objective is the summed negative log-likelihood of the reference
 tokens.  In attention mode, every step whose target is the placeholder also
 contributes the negative log probability of the true domain, act and slot
-under the three attention distributions.  Trees differ per example, so
-batching accumulates gradients over per-example tapes.
+under the three attention distributions.  A minibatch runs on one tape:
+its trees are encoded one level at a time, its sentences advance together
+through the decoder one time step at a time, and one backward pass gives
+the gradient of the summed loss.  One sentence is a batch of one.
 """
 
 from __future__ import annotations
@@ -27,7 +29,16 @@ from .decoder import (
     make_feedback_input,
     step,
 )
-from .engine import Adam, Node, ParamBinding, Tape, clip_gradients
+from .engine import (
+    Adam,
+    Node,
+    ParamBinding,
+    Tape,
+    clip_gradients,
+    dropout_mask,
+    global_norm,
+    take_rows,
+)
 from .errors import ConfigError, ContractError, DomainError
 from .generation import DEFAULT_BEAM_SIZE, DEFAULT_MAX_LENGTH, greedy_decode
 from .metrics import bleu, corpus_ser, ser
@@ -108,67 +119,85 @@ class TrainConfig:
         return config
 
 
-def nll_loss(tape: Tape, dists: list[Node], targets: list[int]) -> Node:
-    """Summed negative log-likelihood of the target ids, one distribution per
-    token, as one fused op."""
+def nll_loss(tape: Tape, dists: list[Node], targets: list) -> Node:
+    """Summed negative log-likelihood of the target ids as one fused op:
+    ``dists[t]`` is one distribution ([V]) or a stack of them ([K, V]), and
+    ``targets[t]`` its target id or its K ids."""
     if len(dists) != len(targets):
         raise ContractError(f"{len(dists)} distributions for {len(targets)} targets")
     if not dists:
         raise ContractError("empty sentence")
-    p = _picked(dists, targets)
-    logs = np.log(p)
-    # Left to right, not np.sum's pairwise order, so the logged loss keeps
-    # its digits.
-    total = logs[0]
-    for term in logs[1:]:
-        total = total + term
-    return tape.op(-total, tuple(dists),
-                   lambda g: _pick_adjoints(dists, targets, p, -g))
+    picks = []
+    for dist, target in zip(dists, targets):
+        cols = np.asarray(target, dtype=np.intp).reshape(-1)
+        picks.append((dist, np.arange(_rows_of(dist, cols.size)), cols))
+    return _neg_log_picks(tape, picks)
 
 
 def att_loss(tape: Tape, nll: Node,
-             supervised_steps: list[tuple[AttentionDists, tuple[int, int, int]]]) -> Node:
+             supervised_steps: list[tuple[AttentionDists, np.ndarray | tuple[int, int, int]]]
+             ) -> Node:
     """Plain objective plus the placeholder-step label penalties: the negative
     log probability of the true domain, act and slot under each distribution,
-    as one fused op (``nll`` itself when no step is supervised)."""
-    dists = [d for a, _ in supervised_steps for d in (a.domain, a.act, a.slot)]
-    if not dists:
+    as one fused op (``nll`` itself when no step is supervised).  Each step
+    pairs its distributions (one row or K stacked) with the (domain, act,
+    slot) indices of each row, [3] or [K, 3]; a row of -1 is not
+    supervised."""
+    picks = []
+    for dists, labels in supervised_steps:
+        labels = np.asarray(labels, dtype=np.intp).reshape(-1, 3)
+        rows = np.nonzero(labels[:, 0] >= 0)[0]
+        _rows_of(dists.domain, len(labels))
+        for j, dist in enumerate((dists.domain, dists.act, dists.slot)):
+            picks.append((dist, rows, labels[rows, j]))
+    if not any(len(rows) for _, rows, _ in picks):
         return nll
-    indices = [idx for _, triple in supervised_steps for idx in triple]
-    p = _picked(dists, indices)
-    total = nll.value
-    for term in -np.log(p):
-        total = total + term
-    return tape.op(total, (nll, *dists),
-                   lambda g: (g,) + _pick_adjoints(dists, indices, p, -g))
+    return _neg_log_picks(tape, picks, base=nll)
 
 
-def _picked(dists: list[Node], indices: list[int]) -> np.ndarray:
-    """The probability each distribution gives its index."""
-    for dist, idx in zip(dists, indices):
-        if not 0 <= idx < dist.value.size:
-            raise ContractError(f"index {idx} out of range for a distribution "
-                                f"of size {dist.value.size}")
-    p = np.array([dist.value[idx] for dist, idx in zip(dists, indices)])
+def _rows_of(dist: Node, expected: int) -> int:
+    """The number of rows of a distribution stack, which must be ``expected``."""
+    rows = 1 if dist.value.ndim == 1 else dist.shape[0]
+    if rows != expected:
+        raise ContractError(f"{expected} targets for {rows} distribution rows")
+    return rows
+
+
+def _neg_log_picks(tape: Tape, picks: list[tuple[Node, np.ndarray, np.ndarray]],
+                   base: Node | None = None) -> Node:
+    """``base`` (if any) minus the summed log probabilities that each
+    distribution stack gives its (row, column) picks, as one op."""
+    probs = []
+    for dist, rows, cols in picks:
+        stack = dist.value.reshape(-1, dist.shape[-1])
+        if np.any((cols < 0) | (cols >= stack.shape[1])):
+            raise ContractError(f"index out of range for distributions of shape {dist.shape}")
+        probs.append(stack[rows, cols])
+    p = np.concatenate(probs)
     if np.any(p <= 0.0):
         raise DomainError("log of non-positive probability")
-    return p
+    total = -np.sum(np.log(p))
+    if base is not None:
+        total = base.value + total
 
+    def vjp(g: np.ndarray):
+        grads = [] if base is None else [g]
+        for (dist, rows, cols), p_k in zip(picks, probs):
+            d = np.zeros(dist.value.reshape(-1, dist.shape[-1]).shape)
+            d[rows, cols] = -g / p_k
+            grads.append(d.reshape(dist.shape))
+        return tuple(grads)
 
-def _pick_adjoints(dists: list[Node], indices: list[int], p: np.ndarray,
-                   scale) -> tuple[np.ndarray, ...]:
-    """Adjoint of ``scale * log(p)`` per distribution: ``scale / p`` at its
-    index, zero elsewhere."""
-    out = []
-    for dist, idx, p_k in zip(dists, indices, p):
-        d = np.zeros_like(dist.value)
-        d[idx] = scale / p_k
-        out.append(d)
-    return tuple(out)
+    parents = tuple(dist for dist, _, _ in picks)
+    return tape.op(total, parents if base is None else (base, *parents), vjp)
 
 
 @dataclass
-class SentenceForward:
+class Forward:
+    """The training graph of a minibatch (or one sentence): ``loss`` and
+    ``nll`` are sums over its sentences, ``n_tokens`` counts their target
+    tokens, end tokens included."""
+
     tape: Tape
     loss: Node
     nll: Node
@@ -177,42 +206,81 @@ class SentenceForward:
 
 def teacher_forced(model: Model, prep: PreparedExample, config: TrainConfig,
                    training: bool, rng: np.random.Generator | None = None,
-                   recording: bool = True) -> SentenceForward:
-    """Build the full training graph for one sentence."""
+                   recording: bool = True) -> Forward:
+    """The training graph of one sentence: a batch of one."""
+    return teacher_forced_batch(model, [prep], config, training, rng, recording)
+
+
+def teacher_forced_batch(model: Model, preps: list[PreparedExample], config: TrainConfig,
+                         training: bool, rng: np.random.Generator | None = None,
+                         recording: bool = True) -> Forward:
+    """Build the training graph of a minibatch on one tape.
+
+    The sentences run time-major, longest first (ties keep batch order), so
+    the ones still running at step t are the first rows and each step
+    advances only them.  Row k's attention queries its own tree, and its
+    distributions feed its next input.  Dropout masks are drawn per
+    sentence, in batch order, as one ``rng.random((T, 2, H))`` block of T
+    target steps: [t, 0] masks the word embedding and [t, 1] the step
+    output, the order in which a one-sentence pass draws them step by step."""
+    if not preps:
+        raise ContractError("empty minibatch")
     tape = Tape(recording=recording)
     binding = ParamBinding(tape, model.params)
-    encoded = model.encode_sr(prep.example.sr, binding)
-    state = initial_state(encoded, model.hidden, binding)
-    vocab = model.vocab
-    targets = vocab.encode(prep.tokens) + [vocab.eos_id]
-    inputs = [vocab.sos_id] + targets[:-1]
-
+    vocab, ontology, hidden = model.vocab, model.ontology, model.hidden
     rate = config.dropout if training else 0.0
-    ontology = model.ontology
-    dists: list[Node] = []
-    supervised: list[tuple[AttentionDists, tuple[int, int, int]]] = []
-    pending: AttentionDists | None = None
-    for t, (inp, _target) in enumerate(zip(inputs, targets)):
-        x = make_feedback_input(inp, pending, binding, ontology.feedback_size,
-                                dropout_rate=rate, training=training, rng=rng)
-        state, probs = step(binding, x, state, dropout_rate=rate,
-                            training=training, rng=rng)
-        dists.append(probs)
-        pending = None
-        is_placeholder = (model.uses_attention and t < len(prep.tokens)
-                          and prep.tokens[t] == PLACEHOLDER)
-        if is_placeholder:
-            attention = attend(state.s, encoded, ontology)
-            pending = attention
-            if prep.attention_usable and t in prep.labels:
-                domain, act, slot = prep.labels[t]
-                supervised.append((attention, (ontology.domain_index(domain),
-                                               ontology.act_index(act),
-                                               ontology.slot_index(slot))))
+    targets = [vocab.encode(p.tokens) + [vocab.eos_id] for p in preps]
+    masks = [dropout_mask((len(t), 2, hidden), rate, training, rng) for t in targets]
+    order = sorted(range(len(preps)), key=lambda b: -len(targets[b]))
+    preps = [preps[b] for b in order]
+    lengths = np.array([len(targets[b]) for b in order])
+    steps = int(lengths[0])
+    # Row k of each [B, steps, ...] array is sentence order[k], zero-padded.
+    target_ids = np.zeros((len(preps), steps), dtype=np.intp)
+    dropout = None if masks[0] is None else np.zeros((len(preps), steps, 2, hidden))
+    for k, b in enumerate(order):
+        target_ids[k, :lengths[k]] = targets[b]
+        if dropout is not None:
+            dropout[k, :lengths[k]] = masks[b]
+    input_ids = np.concatenate([np.full((len(preps), 1), vocab.sos_id), target_ids[:, :-1]],
+                               axis=1)
+    if model.uses_attention:
+        placeholder = np.zeros((len(preps), steps), dtype=bool)
+        labels = np.full((len(preps), steps, 3), -1, dtype=np.intp)
+        for k, prep in enumerate(preps):
+            placeholder[k, :len(prep.tokens)] = [tok == PLACEHOLDER for tok in prep.tokens]
+            if prep.attention_usable:
+                for t, (domain, act, slot) in prep.labels.items():
+                    labels[k, t] = (ontology.domain_index(domain), ontology.act_index(act),
+                                    ontology.slot_index(slot))
 
-    nll = nll_loss(tape, dists, targets)
+    encoded = model.encode_batch([p.example.sr for p in preps], binding)
+    state = initial_state(encoded, hidden, binding)
+    dists: list[Node] = []
+    supervised: list[tuple[AttentionDists, np.ndarray]] = []
+    pending: AttentionDists | None = None
+    pending_rows = None
+    for t in range(steps):
+        live = int(np.count_nonzero(lengths > t))
+        if live < state.h.shape[0]:
+            state = state.take(tape, slice(0, live))
+        word_mask = out_mask = None
+        if dropout is not None:
+            word_mask, out_mask = dropout[:live, t, 0], dropout[:live, t, 1]
+        x = make_feedback_input(input_ids[:live, t], pending, binding, ontology.feedback_size,
+                                mask=word_mask, rows=pending_rows)
+        state, probs = step(binding, x, state, mask=out_mask)
+        dists.append(probs)
+        pending = pending_rows = None
+        if model.uses_attention and placeholder[:live, t].any():
+            rows = np.nonzero(placeholder[:live, t])[0]
+            s = state.s if len(rows) == live else take_rows(tape, state.s, rows)
+            pending, pending_rows = attend(s, encoded, ontology, trees=rows), rows
+            supervised.append((pending, labels[rows, t]))
+
+    nll = nll_loss(tape, dists, [target_ids[:len(d.value), t] for t, d in enumerate(dists)])
     loss = att_loss(tape, nll, supervised) if model.uses_attention else nll
-    return SentenceForward(tape, loss, nll, len(targets))
+    return Forward(tape, loss, nll, int(lengths.sum()))
 
 
 def score_hypotheses(examples: list[Example], hyps: list[str]) -> dict:
@@ -243,6 +311,15 @@ class TrainOutcome:
                 fh.write(json.dumps(entry) + "\n")
 
 
+def _batch_gradients(model: Model, batch: list[PreparedExample], config: TrainConfig,
+                     rng: np.random.Generator) -> tuple[dict[str, np.ndarray], float, int]:
+    """Gradients of a minibatch's summed loss, the loss and its token count.
+    The batch's tape is freed on return, before the next one is built."""
+    fwd = teacher_forced_batch(model, batch, config, training=True, rng=rng)
+    fwd.tape.backward(fwd.loss)
+    return fwd.tape.param_grads(model.params), float(fwd.loss.value), fwd.n_tokens
+
+
 def _fit(model: Model, train_prep: list[PreparedExample], dev_examples: list[Example],
          config: TrainConfig, lr: float, seed: int,
          log_fn: Callable[[str], None] | None = None) -> TrainOutcome:
@@ -258,26 +335,31 @@ def _fit(model: Model, train_prep: list[PreparedExample], dev_examples: list[Exa
     stale = 0
     logs: list[dict] = []
 
+    skipped = sum(1 for p in train_prep if not p.attention_usable)
     for epoch in range(1, config.max_epochs + 1):
         order = shuffle_rng.permutation(len(train_prep))
         loss_total = 0.0
+        tokens = 0
+        norms: list[float] = []
         for start in range(0, len(order), config.batch_size):
             batch = [train_prep[i] for i in order[start:start + config.batch_size]]
-            grads = {name: np.zeros_like(value) for name, value in model.params.items()}
-            for prep in batch:
-                fwd = teacher_forced(model, prep, config, training=True, rng=dropout_rng)
-                fwd.tape.backward(fwd.loss)
-                fwd.tape.param_grads(model.params, out=grads)
-                loss_total += float(fwd.loss.value)
-            for name in grads:
-                grads[name] /= len(batch)
-            if config.clip_norm is not None:
-                clip_gradients(grads, config.clip_norm)
+            grads, loss, n_tokens = _batch_gradients(model, batch, config, dropout_rng)
+            loss_total += loss
+            tokens += n_tokens
+            for g in grads.values():
+                g /= len(batch)
+            norms.append(clip_gradients(grads, config.clip_norm)
+                         if config.clip_norm is not None else global_norm(grads))
             optimizer.step(model.params, grads)
 
         dev = evaluate_examples(model, dev_examples, max_length=config.max_length)
         entry = {"epoch": epoch, "train_loss": loss_total / len(train_prep),
-                 "dev_ser": dev["ser"], "dev_bleu": dev["bleu"]}
+                 "dev_ser": dev["ser"], "dev_bleu": dev["bleu"],
+                 "grad_norm_preclip_mean": sum(norms) / len(norms),
+                 "grad_norm_preclip_max": max(norms),
+                 "clipped_steps": sum(1 for n in norms
+                                      if config.clip_norm is not None and n > config.clip_norm),
+                 "train_tokens": tokens, "attention_skipped": skipped}
         logs.append(entry)
         if log_fn:
             log_fn(f"epoch {epoch}: loss {entry['train_loss']:.4f} "
@@ -298,7 +380,7 @@ def _fit(model: Model, train_prep: list[PreparedExample], dev_examples: list[Exa
     if best_params is not None:
         model.params = best_params
     checkpoint = Checkpoint(model, config.to_json(), best_epoch, best_metrics)
-    return TrainOutcome(checkpoint, logs)
+    return TrainOutcome(checkpoint, logs, skipped)
 
 
 def train(corpus: Corpus, config: TrainConfig, ontology: Ontology,
@@ -312,15 +394,12 @@ def train(corpus: Corpus, config: TrainConfig, ontology: Ontology,
         raise ConfigError("training needs non-empty train and dev splits")
 
     train_prep = [prepare_example(e, config.mode, ontology) for e in train_examples]
-    skipped = sum(1 for p in train_prep if not p.attention_usable)
     vocab = Vocabulary.build([p.tokens for p in train_prep],
                              placeholder_only=config.mode == "tree+att")
     model = Model.create(config.mode, ontology, vocab, config.hidden,
                          rng_stream(config.seed, STREAM_INIT), config.init_scale)
-    outcome = _fit(model, train_prep, dev_examples, config, config.lr_scratch,
-                   config.seed, log_fn)
-    outcome.attention_skipped = skipped
-    return outcome
+    return _fit(model, train_prep, dev_examples, config, config.lr_scratch,
+                config.seed, log_fn)
 
 
 def sample_adaptation(examples: list[Example], fraction: float,
@@ -355,14 +434,10 @@ def adapt(checkpoint: Checkpoint, target_corpus: Corpus, fraction: float,
         raise ConfigError("adaptation needs a non-empty target dev split")
 
     train_prep = [prepare_example(e, model.mode, ontology) for e in sampled]
-    skipped = sum(1 for p in train_prep if not p.attention_usable)
     new_words = sorted({tok for p in train_prep for tok in p.tokens})
     model.extend_vocab(new_words, rng_stream(seed, STREAM_EXTEND), config.init_scale)
 
-    outcome = _fit(model, train_prep, dev_examples, config, config.lr_adapt,
-                   seed, log_fn)
-    outcome.attention_skipped = skipped
-    return outcome
+    return _fit(model, train_prep, dev_examples, config, config.lr_adapt, seed, log_fn)
 
 
 def gradcheck_setup(hidden: int = 8, seed: int = 0,
@@ -449,11 +524,20 @@ def parse_results_csv(text: str) -> tuple[list[dict], list[dict]]:
     return rows, aggregates
 
 
+def cell_seed(seed: int, fraction_index: int) -> int:
+    """The adaptation seed of one sweep cell (its sample, new vocabulary
+    rows, dropout and shuffling), derived from the sweep seed and the
+    fraction's position alone: every mode of a (seed, fraction) cell adapts
+    on the same sample, so the mode comparison is paired, and distinct
+    pairs get unrelated seeds."""
+    return int(np.random.SeedSequence([seed, fraction_index]).generate_state(1, np.uint64)[0])
+
+
 def _matrix_task(args: tuple) -> list[dict]:
     """One (mode, seed) line of the matrix: train on source once, then adapt
     at every fraction.  Runs in a worker process."""
     (mode, seed, fractions, config_json, source_corpus, target_corpus, ontology,
-     source, target, cell_indices) = args
+     source, target) = args
     config = TrainConfig.from_json(config_json)
     config.mode = mode
     config.seed = seed
@@ -461,10 +545,9 @@ def _matrix_task(args: tuple) -> list[dict]:
 
     rows = []
     test_examples = [e for e in target_corpus.split("test") if not e.is_multi_domain]
-    for fraction, cell_index in zip(fractions, cell_indices):
+    for j, fraction in enumerate(fractions):
         base = clone_checkpoint(source_outcome.checkpoint)
-        sample_seed = seed ^ cell_index
-        adapted = adapt(base, target_corpus, fraction, config, sample_seed)
+        adapted = adapt(base, target_corpus, fraction, config, cell_seed(seed, j))
         metrics = evaluate_examples(adapted.checkpoint.model, test_examples,
                                     max_length=config.max_length)
         rows.append({"mode": mode, "source": source, "target": target,
@@ -509,13 +592,9 @@ def run_matrix(corpus: Corpus, ontology: Ontology, source: str, target: str,
     else:
         source_corpus = corpus.filter_domain(source)
         target_corpus = corpus.filter_domain(target)
-        tasks = []
-        for i, mode in enumerate(modes):
-            for seed in seeds:
-                cell_indices = [i * len(fractions) + j for j in range(len(fractions))]
-                tasks.append((mode, seed, list(fractions), config.to_json(),
-                              source_corpus, target_corpus, ontology, source,
-                              target, cell_indices))
+        tasks = [(mode, seed, list(fractions), config.to_json(), source_corpus,
+                  target_corpus, ontology, source, target)
+                 for mode in modes for seed in seeds]
         if workers > 1:
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 for task_rows in pool.map(_matrix_task, tasks):

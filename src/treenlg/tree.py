@@ -7,17 +7,22 @@ its children's hidden states and memory cells, gates them together with the
 node's token embedding, and passes the result upward.  The root hidden state
 is the semantic embedding that conditions the decoder.
 
-Each node's transition is one fused op on the tape with a closed-form
-adjoint, and so is the flat baseline's affine map.
+Encoding runs level by level over a whole minibatch of trees: every tree
+has five levels, and all nodes of one level, across the trees, share one
+fused op with a closed-form adjoint.  Each row's products are taken one row
+at a time (``np.matmul`` over a stack of vectors), so a node's state is
+bitwise the same whatever else shares its level.  The flat baseline's
+affine map is one fused op per minibatch as well.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .engine import Node, ParamBinding, Tape, init_uniform, logistic, slice_last
+from .engine import Node, ParamBinding, Tape, init_uniform, logistic, slice_last, take_rows
 from .errors import ContractError
 from .semantics import (
     NO_SLOT_PROPERTY,
@@ -29,6 +34,9 @@ from .semantics import (
 
 LAYERS = ("root", "domain", "act", "slot", "property")
 
+# The layers whose labels the decoder attends over.
+ATTENDED = ("domain", "act", "slot")
+
 GATES = ("i", "f", "o", "g")
 
 
@@ -39,6 +47,8 @@ class TreeNode:
     label: str | None
     parent: int | None
     children: list[int] = field(default_factory=list)
+    # Position of ``label`` among the ontology's labels of this layer.
+    label_index: int | None = None
 
 
 class SemTree:
@@ -112,23 +122,24 @@ def build_tree(sr: SemanticRepresentation, ontology: Ontology) -> SemTree:
 
     nodes = [TreeNode("root", ROOT_TOKEN, None, None)]
 
-    def add_node(layer: str, token: str, label: str | None, parent: int) -> int:
-        nodes.append(TreeNode(layer, token, label, parent))
+    def add_node(layer: str, token: str, label: str | None, parent: int,
+                 label_index: int | None = None) -> int:
+        nodes.append(TreeNode(layer, token, label, parent, label_index=label_index))
         idx = len(nodes) - 1
         nodes[parent].children.append(idx)
         return idx
 
     for domain in sorted(structure):
-        d_id = add_node("domain", domain, domain, 0)
+        d_id = add_node("domain", domain, domain, 0, ontology.domain_index(domain))
         for act in sorted(structure[domain]):
-            a_id = add_node("act", act, act, d_id)
+            a_id = add_node("act", act, act, d_id, ontology.act_index(act))
             slots = sorted(structure[domain][act])
             if not slots:
                 s_id = add_node("slot", NO_SLOT_TOKEN, None, a_id)
                 add_node("property", NO_SLOT_PROPERTY, None, s_id)
                 continue
             for slot in slots:
-                s_id = add_node("slot", slot, slot, a_id)
+                s_id = add_node("slot", slot, slot, a_id, ontology.slot_index(slot))
                 prop = ontology.property_of(domain, act, slot)
                 add_node("property", prop, None, s_id)
     return SemTree(nodes)
@@ -148,104 +159,213 @@ def init_encoder_params(ontology: Ontology, hidden: int,
     return init_uniform(encoder_shapes(ontology, hidden), rng, scale)
 
 
-class EncodedTree:
-    """Forward-pass products the decoder consumes: the semantic embedding and
-    per-label hidden states for layer-wise attention, all nodes of ``tape``."""
+@dataclass
+class LabelStates:
+    """One attended layer's activated labels over the trees of an encoding.
 
-    def __init__(self, embedding: Node, layer_states: dict[str, dict[str, Node]],
-                 node_states: dict[int, tuple[Node, Node]], tape: Tape):
+    Row j of ``matrix`` ([labels, H]) is the hidden state of label
+    ``labels[j]`` in its tree, summed over that label's nodes in tree order
+    (one act can sit under two domains).  Each tree's rows are consecutive
+    and in sorted, that is canonical, label order; ``counts[b]`` is how many
+    rows tree b has, and ``index[j]`` is row j's position among the
+    ontology's labels of the layer."""
+
+    matrix: Node
+    labels: list[str]
+    index: np.ndarray
+    counts: np.ndarray
+
+    def __post_init__(self):
+        self.owner = np.repeat(np.arange(len(self.counts)), self.counts)
+
+
+class EncodedTree:
+    """Forward-pass products the decoder consumes, for one tree or for a
+    minibatch of B trees, all nodes of ``tape``: the semantic embedding ([H]
+    for one tree, [B, H] for a batch) and, per attended layer, the label
+    states for layer-wise attention (none in flat mode).
+
+    ``levels[d]`` packs [h | c] of every depth-d node as one [n, 2H] node,
+    and ``positions[b][i]`` is the (depth, row) of node i of tree b;
+    ``node_states`` and ``layer_states`` read them for a one-tree encoding
+    as one view per node and per label."""
+
+    def __init__(self, embedding: Node, labels: dict[str, LabelStates], tape: Tape,
+                 levels: list[Node] | None = None,
+                 positions: list[dict[int, tuple[int, int]]] | None = None):
         self.embedding = embedding
-        self.layer_states = layer_states
-        self.node_states = node_states
+        self.labels = labels
         self.tape = tape
+        self.levels = levels or []
+        self.positions = positions or [{}]
+
+    @cached_property
+    def node_states(self) -> dict[int, tuple[Node, Node]]:
+        hidden = self.embedding.shape[-1]
+        out = {}
+        for i, (depth, row) in self.positions[0].items():
+            packed = take_rows(self.tape, self.levels[depth], row)
+            out[i] = (slice_last(self.tape, packed, 0, hidden),
+                      slice_last(self.tape, packed, hidden, 2 * hidden))
+        return out
+
+    @cached_property
+    def layer_states(self) -> dict[str, dict[str, Node]]:
+        return {layer: {label: take_rows(self.tape, self.labels[layer].matrix, j)
+                        for j, label in enumerate(self.labels[layer].labels)}
+                if layer in self.labels else {} for layer in ATTENDED}
 
 
 _E_STACK = tuple(f"enc.{g}.e" for g in GATES)
 _H_STACK = tuple(f"enc.{g}.h" for g in GATES)
 _B_STACK = tuple(f"enc.{g}.b" for g in GATES)
+_DEPTH = {layer: d for d, layer in enumerate(LAYERS)}
 
 
 def encode(tree: SemTree, binding: ParamBinding,
            token_index: dict[str, int]) -> EncodedTree:
-    """Child-sum bottom-up pass.  Leaves see zero child sums, so their gates
-    reduce to functions of the token embedding alone.
+    """The batch-of-one :func:`encode_batch`, with an [H] embedding."""
+    encoded = encode_batch([tree], binding, token_index)
+    encoded.embedding = take_rows(binding.tape, encoded.embedding, 0)
+    return encoded
 
-    One fused op per tree node (``_transition``) holds its [h | c];
-    ``node_states`` exposes h and c through two ``slice_last`` views, which
-    the parent's op reads."""
+
+def encode_batch(trees: list[SemTree], binding: ParamBinding,
+                 token_index: dict[str, int]) -> EncodedTree:
+    """Child-sum bottom-up pass over a minibatch of trees, one fused op per
+    level (``_level``), deepest first.  Level d holds the depth-d nodes of
+    every tree, tree after tree, each tree's in node order.  Leaves see zero
+    child sums, so their gates reduce to functions of the token embedding
+    alone.  Then one op per attended layer gathers its label
+    states (``_label_states``)."""
     tape = binding.tape
     hidden = binding.params["enc.emb"].shape[1]
-    states: dict[int, tuple[Node, Node]] = {}
-    for i in tree.post_order():
-        node = tree.nodes[i]
-        packed = _transition(binding, token_index[node.token],
-                             [states[child] for child in node.children])
-        states[i] = (slice_last(tape, packed, 0, hidden),
-                     slice_last(tape, packed, hidden, 2 * hidden))
+    members: list[list[tuple[int, TreeNode]]] = [[] for _ in LAYERS]
+    positions: list[dict[int, tuple[int, int]]] = []
+    groups = {layer: [] for layer in ATTENDED}   # (tree, label, label index, rows)
+    for b, tree in enumerate(trees):
+        where = {}
+        by_label: dict[tuple[str, str], tuple[int, list[int]]] = {}
+        for i, node in enumerate(tree.nodes):
+            depth = _DEPTH[node.layer]
+            where[i] = (depth, len(members[depth]))
+            members[depth].append((b, node))
+            if node.label is not None:
+                by_label.setdefault((node.layer, node.label),
+                                    (node.label_index, []))[1].append(where[i][1])
+        positions.append(where)
+        for (layer, label), (index, rows) in sorted(by_label.items()):
+            groups[layer].append((b, label, index, rows))
 
-    by_label: dict[str, dict[str, list[Node]]] = {"domain": {}, "act": {}, "slot": {}}
-    for i, node in enumerate(tree.nodes):
-        if node.layer in by_label and node.label is not None:
-            by_label[node.layer].setdefault(node.label, []).append(states[i][0])
-    # One label can own several activated nodes (same act under two
-    # domains); their states are summed before scoring.
-    layer_states = {layer: {label: _summed(tape, hs) for label, hs in labels.items()}
-                    for layer, labels in by_label.items()}
-    return EncodedTree(states[0][0], layer_states, states, tape)
+    levels: list[Node] = [None] * len(LAYERS)
+    below = None
+    for depth in reversed(range(len(LAYERS))):
+        tokens = np.array([token_index[n.token] for _, n in members[depth]], dtype=np.intp)
+        children = [[positions[b][c][1] for c in n.children] for b, n in members[depth]]
+        below = levels[depth] = _level(binding, tokens, below, children)
+
+    labels = {}
+    for layer in ATTENDED:
+        rows = [g[3] for g in groups[layer]]
+        counts = np.bincount([g[0] for g in groups[layer]], minlength=len(trees))
+        labels[layer] = LabelStates(_label_states(tape, levels[_DEPTH[layer]], rows, hidden),
+                                    [g[1] for g in groups[layer]],
+                                    np.array([g[2] for g in groups[layer]], dtype=np.intp),
+                                    counts)
+    embedding = slice_last(tape, levels[0], 0, hidden)
+    return EncodedTree(embedding, labels, tape, levels, positions)
 
 
-def _transition(binding: ParamBinding, index: int, children: list[tuple[Node, Node]]) -> Node:
-    """One child-sum LSTM transition: the embedding row e of the token at
-    ``index`` and the children's summed (h, c) give z = E·e + b (+ H·Σh),
-    the gates i, f, o, g, then c = i·g (+ f·Σc) and h = o·tanh(c).  The
-    four gate pre-activations share one stacked matmul per input path; the
-    adjoint is closed-form."""
+def _rowwise(w: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``w @ x[k]`` for every row k, one row at a time: unlike ``x @ w.T``,
+    a row's bits do not depend on how many rows the stack has."""
+    return np.matmul(w, x[:, :, None])[:, :, 0]
+
+
+def _padded(groups: list[list[int]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Ragged row groups as a zero-padded [groups, longest] index matrix, the
+    group sizes, and the mask of the entries that are not padding."""
+    counts = np.array([len(g) for g in groups], dtype=np.intp)
+    idx = np.zeros((len(groups), max(counts, default=0)), dtype=np.intp)
+    valid = np.arange(idx.shape[1]) < counts[:, None]
+    idx[valid] = [r for g in groups for r in g]
+    return idx, counts, valid
+
+
+def _ordered_sum(x: np.ndarray, idx: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Per group k, the rows ``x[idx[k, :counts[k]]]`` summed left to right
+    (zeros for an empty group)."""
+    total = x[idx[:, 0]]
+    total[counts == 0] = 0.0
+    for r in range(1, idx.shape[1]):
+        more = counts > r
+        total[more] += x[idx[more, r]]
+    return total
+
+
+def _level(binding: ParamBinding, tokens: np.ndarray, below: Node | None,
+           children: list[list[int]]) -> Node:
+    """One tree level's child-sum LSTM transitions as one op.  Row k is the
+    node whose token has embedding row ``tokens[k]`` and whose children are
+    rows ``children[k]`` of the level ``below`` (packed [h | c]): the
+    children's h and c are summed in order, then z = E·e + b (+ H·Σh), the
+    gates i, f, o, g, c = i·g (+ f·Σc) and h = o·tanh(c).  The level holds
+    [h | c] per row; the weight adjoints are one Δᵀ·X product each.  A row
+    without children (a leaf, or the root of an empty SR) sees zero sums."""
     emb, w_e, b = binding["enc.emb"], binding.stacked(_E_STACK), binding.stacked(_B_STACK)
-    w_h = binding.stacked(_H_STACK) if children else None
     H = emb.shape[1]
-    e = emb.value[index]
-    z = w_e.value @ e + b.value
-    h_sum = c_sum = None
-    if children:
-        h_sum, c_sum = children[0][0].value, children[0][1].value
-        for ch, cc in children[1:]:
-            h_sum, c_sum = h_sum + ch.value, c_sum + cc.value
-        z = z + w_h.value @ h_sum
-    i, o, g = logistic(z[:H]), logistic(z[2 * H:3 * H]), np.tanh(z[3 * H:])
+    e = emb.value[tokens]
+    z = _rowwise(w_e.value, e) + b.value
+    inner = below is not None and below.shape[0] > 0
+    if inner:
+        w_h = binding.stacked(_H_STACK)
+        idx, counts, valid = _padded(children)
+        sums = _ordered_sum(below.value, idx, counts)
+        h_sum, c_sum = np.ascontiguousarray(sums[:, :H]), sums[:, H:]
+        z = z + _rowwise(w_h.value, h_sum)
+        # Every row below has exactly one parent here.
+        parent_of = np.empty(below.shape[0], dtype=np.intp)
+        parent_of[idx[valid]] = np.nonzero(valid)[0]
+    ifo = logistic(z[:, :3 * H])
+    i, f, o = ifo[:, :H], ifo[:, H:2 * H], ifo[:, 2 * H:]
+    g = np.tanh(z[:, 3 * H:])
     c = i * g
-    if children:
-        f = logistic(z[H:2 * H])
+    if inner:
         c = c + f * c_sum
     tc = np.tanh(c)
 
     def vjp(grad: np.ndarray):
-        gh, gc = grad[:H], grad[H:]
+        gh, gc = grad[:, :H], grad[:, H:]
         dc = gc + gh * o * (1.0 - tc * tc)
-        dz_f = dc * c_sum * f * (1.0 - f) if children else np.zeros(H)
+        dz_f = dc * c_sum * f * (1.0 - f) if inner else np.zeros_like(dc)
         dz = np.concatenate([dc * g * i * (1.0 - i), dz_f,
-                             gh * tc * o * (1.0 - o), dc * i * (1.0 - g * g)])
+                             gh * tc * o * (1.0 - o), dc * i * (1.0 - g * g)], axis=1)
         d_emb = np.zeros_like(emb.value)
-        d_emb[index] = w_e.value.T @ dz
-        grads = [d_emb, dz[:, None] * e[None, :], dz]
-        if children:
-            grads.append(dz[:, None] * h_sum[None, :])
-            d_child = (w_h.value.T @ dz, dc * f)
-            grads.extend(d_child * len(children))
+        np.add.at(d_emb, tokens, dz @ w_e.value)
+        grads = [d_emb, dz.T @ e, dz.sum(axis=0)]
+        if inner:
+            d_sums = np.concatenate([dz @ w_h.value, dc * f], axis=1)
+            grads += [dz.T @ h_sum, d_sums[parent_of]]
         return tuple(grads)
 
-    parents = (emb, w_e, b) + ((w_h,) if children else ()) + \
-        tuple(n for state in children for n in state)
-    return binding.tape.op(np.concatenate([o * tc, c]), parents, vjp)
+    parents = (emb, w_e, b) + ((w_h, below) if inner else ())
+    return binding.tape.op(np.concatenate([o * tc, c], axis=1), parents, vjp)
 
 
-def _summed(tape: Tape, states: list[Node]) -> Node:
-    """The sum of one label's node states, in tree order."""
-    if len(states) == 1:
-        return states[0]
-    total = states[0].value
-    for n in states[1:]:
-        total = total + n.value
-    return tape.op(total, tuple(states), lambda g: (g,) * len(states))
+def _label_states(tape: Tape, level: Node, groups: list[list[int]], hidden: int) -> Node:
+    """[labels, H]: row j sums the h of the level rows ``groups[j]``, in
+    order."""
+    if not groups:
+        return tape.leaf(np.zeros((0, hidden)))
+    idx, counts, valid = _padded(groups)
+    rows, label_of = idx[valid], np.nonzero(valid)[0]
+
+    def vjp(grad: np.ndarray):
+        d = np.zeros_like(level.value)
+        d[rows, :hidden] = grad[label_of]
+        return (d,)
+
+    return tape.op(_ordered_sum(level.value[:, :hidden], idx, counts), (level,), vjp)
 
 
 def flat_shapes(ontology: Ontology, hidden: int) -> dict[str, tuple[int, ...]]:
@@ -269,16 +389,23 @@ def triple_indicator(sr: SemanticRepresentation, ontology: Ontology) -> np.ndarr
 
 def encode_flat(sr: SemanticRepresentation, ontology: Ontology,
                 binding: ParamBinding) -> EncodedTree:
-    """Flat baseline: indicator vector through a trained affine map and tanh,
-    one fused op.  No per-label states, so attention is unavailable in this
-    mode."""
-    x = triple_indicator(sr, ontology)
+    """The batch-of-one :func:`encode_flat_batch`, with an [H] embedding."""
+    encoded = encode_flat_batch([sr], ontology, binding)
+    encoded.embedding = take_rows(binding.tape, encoded.embedding, 0)
+    return encoded
+
+
+def encode_flat_batch(srs: list[SemanticRepresentation], ontology: Ontology,
+                      binding: ParamBinding) -> EncodedTree:
+    """Flat baseline: each SR's indicator vector through a trained affine map
+    and tanh, one fused op for the minibatch.  No per-label states, so
+    attention is unavailable in this mode."""
+    x = np.stack([triple_indicator(sr, ontology) for sr in srs])
     w, b = binding["flat.w"], binding["flat.b"]
-    y = np.tanh(w.value @ x + b.value)
+    y = np.tanh(x @ w.value.T + b.value)
 
     def vjp(grad: np.ndarray):
         d = grad * (1.0 - y * y)
-        return d[:, None] * x[None, :], d
+        return d.T @ x, d.sum(axis=0)
 
-    embedding = binding.tape.op(y, (w, b), vjp)
-    return EncodedTree(embedding, {"domain": {}, "act": {}, "slot": {}}, {}, binding.tape)
+    return EncodedTree(binding.tape.op(y, (w, b), vjp), {}, binding.tape)

@@ -14,7 +14,7 @@ from treenlg.decoder import (
 from treenlg.engine import ParamBinding, Tape
 from treenlg.errors import ContractError
 from treenlg.semantics import Ontology, REQUEST, SemanticRepresentation, SrEntry
-from treenlg.tree import EncodedTree, build_tree, encode, init_encoder_params
+from treenlg.tree import EncodedTree, LabelStates, build_tree, encode, init_encoder_params
 
 
 @pytest.fixture
@@ -78,12 +78,20 @@ class TestStep:
             step(binding, tape.leaf(np.zeros(9)), state)
 
 
-def encoded_with_states(tape, layer_states):
-    wrapped = {layer: {label: tape.leaf(np.asarray(vec, dtype=float))
-                       for label, vec in states.items()}
-               for layer, states in layer_states.items()}
-    embedding = tape.leaf(np.zeros(2))
-    return EncodedTree(embedding, wrapped, {}, tape)
+def encoded_with_states(tape, layer_states, ontology):
+    """A one-tree encoding holding the given label states in the encoder's
+    layout: per layer, the labels in sorted order as the rows of one
+    [labels, H] leaf."""
+    index_of = {"domain": ontology.domain_index, "act": ontology.act_index,
+                "slot": ontology.slot_index}
+    labels = {}
+    for layer, states in layer_states.items():
+        names = sorted(states)
+        if names:
+            labels[layer] = LabelStates(
+                tape.leaf(np.array([states[n] for n in names], dtype=float)), names,
+                np.array([index_of[layer](n) for n in names]), np.array([len(names)]))
+    return EncodedTree(tape.leaf(np.zeros(2)), labels, tape)
 
 
 class TestAttend:
@@ -94,7 +102,7 @@ class TestAttend:
             "domain": {"attraction": [3.0, 4.0]},
             "act": {"inform": [1.0, 0.0]},
             "slot": {"area": [0.0, 1.0]},
-        })
+        }, ontology)
         dists = attend(s, enc, ontology)
         d_idx = ontology.domain_index("attraction")
         assert dists.domain.value[d_idx] == pytest.approx(1.0)
@@ -107,7 +115,7 @@ class TestAttend:
             "domain": {"attraction": [1.0, 1.0], "hotel": [1.0, 1.0]},
             "act": {"inform": [1.0, 0.0]},
             "slot": {"area": [0.0, 1.0]},
-        })
+        }, ontology)
         dists = attend(s, enc, ontology)
         assert dists.domain.value[ontology.domain_index("attraction")] == pytest.approx(0.5)
         assert dists.domain.value[ontology.domain_index("hotel")] == pytest.approx(0.5)
@@ -115,12 +123,11 @@ class TestAttend:
     def test_hand_softmax_over_three_slots(self, ontology):
         tape = Tape()
         s = tape.leaf([1.0])
-        enc = EncodedTree(tape.leaf(np.zeros(1)), {
-            "domain": {"attraction": tape.leaf([1.0])},
-            "act": {"inform": tape.leaf([1.0])},
-            "slot": {"area": tape.leaf([1.0]), "options": tape.leaf([2.0]),
-                     "type": tape.leaf([3.0])},
-        }, {}, tape)
+        enc = encoded_with_states(tape, {
+            "domain": {"attraction": [1.0]},
+            "act": {"inform": [1.0]},
+            "slot": {"area": [1.0], "options": [2.0], "type": [3.0]},
+        }, ontology)
         dists = attend(s, enc, ontology)
         scores = np.array([1.0, 2.0, 3.0])
         expected = np.exp(scores - scores.max())
@@ -134,7 +141,7 @@ class TestAttend:
 
     def test_empty_layer_rejected(self, ontology):
         tape = Tape()
-        enc = encoded_with_states(tape, {"domain": {}, "act": {}, "slot": {}})
+        enc = encoded_with_states(tape, {"domain": {}, "act": {}, "slot": {}}, ontology)
         with pytest.raises(ContractError):
             attend(tape.leaf([1.0, 0.0]), enc, ontology)
 
@@ -161,7 +168,7 @@ class TestAttend:
                 "domain": {"attraction": rng.normal(size=2), "hotel": rng.normal(size=2)},
                 "act": {"inform": rng.normal(size=2), "request": rng.normal(size=2)},
                 "slot": {"area": rng.normal(size=2), "type": rng.normal(size=2)},
-            })
+            }, ontology)
             q = rng.normal(size=2)
             base = attend(tape.leaf(q), enc, ontology)
             scaled = attend(tape.leaf(q * 7.3), enc, ontology)

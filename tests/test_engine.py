@@ -34,8 +34,10 @@ from treenlg.engine import (
     Tape,
     clip_gradients,
     dropout_mask,
+    global_norm,
     grad_check,
     slice_last,
+    take_rows,
 )
 from treenlg.errors import ContractError, DimensionError, DomainError, ParameterError
 
@@ -272,6 +274,25 @@ class TestBackward:
         with pytest.raises(DimensionError):
             slice_last(t, xn, 3, 5)
 
+    def test_take_rows_routes_gradient_to_its_rows(self):
+        t = Tape()
+        x = np.arange(8.0).reshape(4, 2)
+        xn = t.leaf(x, param="x")
+        picked = take_rows(t, xn, [3, 1])
+        head = take_rows(t, xn, slice(0, 2))
+        one = take_rows(t, xn, 2)
+        assert picked.value.tolist() == [[6.0, 7.0], [2.0, 3.0]]
+        assert one.value.tolist() == [4.0, 5.0]
+        loss = local_add(t, local_add(t, local_sum(t, picked), local_sum(t, head)),
+                         local_sum(t, one))
+        t.backward(loss)
+        assert t.param_grads({"x": x})["x"].tolist() == [[1, 1], [2, 2], [1, 1], [1, 1]]
+        # A one-row [n] node counts as a stack of one.
+        assert take_rows(t, t.leaf([1.0, 2.0]), [0]).shape == (1, 2)
+        with pytest.raises(ContractError):
+            take_rows(t, xn, [1, 1])
+        assert take_rows(Tape(recording=False), xn, [1, 1]).shape == (2, 2)
+
     def test_indexing_ops_roundtrip_gradients(self):
         m = np.arange(6.0).reshape(2, 3)
         t = RefTape()
@@ -462,6 +483,9 @@ class TestClip:
         assert norm == pytest.approx(5.0)
         total = math.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
         assert total == pytest.approx(1.0)
+
+    def test_global_norm(self):
+        assert global_norm({"a": np.array([3.0, 0.0]), "b": np.array([[0.0], [4.0]])}) == 5.0
 
     def test_below_threshold_untouched(self):
         grads = {"a": np.array([0.3])}

@@ -7,7 +7,11 @@ order of the mask draws is part of the contract).
 Floating-point results agree within 1e-12, relative to the largest
 magnitude in the tensor; token sequences, texts and chosen attention triples
 are equal.  A mismatch where two scores lie within 1e-9 of each other is
-reported as a near-tie, but it still fails."""
+reported as a near-tie, but it still fails.
+
+A minibatch on one tape must give the sum of the reference's per-sentence
+losses and gradients, drawing the same dropout masks, and its tree encoding
+must give every node bitwise the state of encoding its tree alone."""
 
 import random
 
@@ -24,10 +28,10 @@ from test_generation import zeroed_model
 from treenlg import generation
 from treenlg.decoder import DecoderState, attend, make_feedback_input, step
 from treenlg.engine import ParamBinding, Tape
-from treenlg.errors import ContractError
-from treenlg.model import MODES, Model, Vocabulary, prepare_example
+from treenlg.model import MODES, Model, PreparedExample, Vocabulary, prepare_example
 from treenlg.semantics import REQUEST, Example
-from treenlg.training import TrainConfig, teacher_forced
+from treenlg.training import TrainConfig, teacher_forced, teacher_forced_batch
+from treenlg.tree import build_tree, encode, encode_batch
 
 TOL = 1e-12
 NEAR_TIE = 1e-9
@@ -189,16 +193,119 @@ class TestKernels:
                                                       dists.slot.value[j])):
                         assert rel_err(a, b) <= TOL
 
-    def test_recording_tape_rejects_stacked_inputs(self, cases):
-        _, hidden, model, _, _ = cases[0]
-        tape = Tape()
-        binding = ParamBinding(tape, model.params)
-        state = DecoderState(*(tape.leaf(np.zeros((2, hidden))) for _ in range(3)))
-        with pytest.raises(ContractError):
-            make_feedback_input([1, 2], None, binding, model.ontology.feedback_size)
-        x = tape.leaf(np.zeros((2, hidden + model.ontology.feedback_size)))
-        with pytest.raises(ContractError):
-            step(binding, x, state)
+    def test_recording_tape_sums_stacked_row_gradients(self, cases):
+        """K stacked rows through the feedback input, the step and the
+        attention on one recording tape give the sum of the gradients of K
+        one-row passes, each on its own tape."""
+        for mode, hidden, model, _, srs in cases:
+            rng = np.random.default_rng(5)
+            k = 3
+            words = rng.integers(0, len(model.vocab), size=k)
+            rows = [rng.normal(size=(k, hidden)) for _ in range(3)]
+            masks = [(rng.random((k, hidden)) >= 0.25) / 0.75 for _ in range(2)]
+            weights = rng.normal(size=(k, len(model.vocab)))
+
+            def grads(take):
+                """Gradients of a weighted sum of the step's distributions
+                (and, in attention mode, of the attention) over rows ``take``."""
+                tape = Tape()
+                binding = ParamBinding(tape, model.params)
+                encoded = model.encode_sr(srs[0], binding)
+                state = DecoderState(*(tape.leaf(r[take]) for r in rows))
+                x = make_feedback_input(words[take], None, binding,
+                                        model.ontology.feedback_size, mask=masks[0][take])
+                state, probs = step(binding, x, state, mask=masks[1][take])
+                nodes, w = [probs], [weights[take]]
+                if model.uses_attention:
+                    dists = attend(state.s, encoded, model.ontology)
+                    nodes += [dists.domain, dists.act, dists.slot]
+                    w += [np.ones(n.shape) for n in nodes[1:]]
+                tape.backward(weighted_sum(tape, nodes, w))
+                return tape.param_grads(model.params)
+
+            stacked = grads(slice(None))
+            single = [grads(j) for j in range(k)]
+            for name in model.params:
+                assert rel_err(stacked[name], sum(g[name] for g in single)) <= TOL, \
+                    (mode, hidden, name)
+
+
+def mixed_batch(mode, ontology, srs, rng) -> list[PreparedExample]:
+    """Sentences of mixed lengths over ``srs``, the last two with no
+    placeholder and with attention labels unusable."""
+    preps = []
+    for sr in srs:
+        filler = " ".join(rng.choice(["here", "is", "a", "nice", "one"], rng.integers(0, 9)))
+        text = f"{filler} {sentence(sr)}".strip()
+        preps.append(prepare_example(Example(sr, text, "train"), mode, ontology))
+    preps[-2] = PreparedExample(preps[-2].example, ["here", "is", "one", "."])
+    if mode == "tree+att":
+        preps[-1] = PreparedExample(preps[-1].example, ["a", "@", "is", "@", "."], {},
+                                    attention_usable=False)
+    return preps
+
+
+@pytest.fixture(scope="module")
+def batch_cases(synth_default):
+    """(mode, hidden, model, 16 mixed prepared examples) per case."""
+    _, ontology = synth_default
+    rng = random.Random(17)
+    nrng = np.random.default_rng(17)
+    out = []
+    for mode in MODES:
+        for hidden in (8, 100):
+            srs = [random_sr(ontology, rng) for _ in range(16)]
+            preps = mixed_batch(mode, ontology, srs, nrng)
+            vocab = Vocabulary.build([p.tokens for p in preps],
+                                     placeholder_only=mode == "tree+att")
+            model = Model.create(mode, ontology, vocab, hidden, nrng, 0.5)
+            out.append((mode, hidden, model, preps))
+    return out
+
+
+class TestMinibatch:
+    @pytest.mark.parametrize("dropout", [0.0, 0.25])
+    @pytest.mark.parametrize("size", [1, 3, 16])
+    def test_batch_is_the_sum_of_reference_sentences(self, batch_cases, dropout, size):
+        for mode, hidden, model, preps in batch_cases:
+            # The short subsets keep the unusable and placeholder-free sentences.
+            batch = preps[-size:]
+            where = f"{mode} hidden {hidden} batch {size} dropout {dropout}"
+            config = TrainConfig(mode=mode, hidden=hidden, dropout=dropout)
+            rng_ref, rng_new = np.random.default_rng(size), np.random.default_rng(size)
+            loss = nll = 0.0
+            ref_grads = {name: np.zeros_like(v) for name, v in model.params.items()}
+            for prep in batch:
+                ref = ref_training.teacher_forced(model, prep, config, training=True,
+                                                  rng=rng_ref)
+                ref.tape.backward(ref.loss)
+                ref.tape.param_grads(model.params, out=ref_grads)
+                loss += float(ref.loss.value)
+                nll += float(ref.nll.value)
+            new = teacher_forced_batch(model, batch, config, training=True, rng=rng_new)
+            assert new.n_tokens == sum(len(p.tokens) + 1 for p in batch), where
+            assert rel_err(loss, new.loss.value) <= TOL, where
+            assert rel_err(nll, new.nll.value) <= TOL, where
+            assert rng_ref.random() == rng_new.random(), where
+            new.tape.backward(new.loss)
+            new_grads = new.tape.param_grads(model.params)
+            for name in model.params:
+                assert rel_err(ref_grads[name], new_grads[name]) <= TOL, (where, name)
+
+    def test_node_states_do_not_depend_on_the_batch(self, batch_cases):
+        for mode, hidden, model, preps in batch_cases:
+            if not model.uses_tree:
+                continue
+            trees = [build_tree(p.example.sr, model.ontology) for p in preps]
+            batch = encode_batch(trees, ParamBinding(Tape(), model.params), model.token_index)
+            for b, tree in enumerate(trees):
+                alone = encode(tree, ParamBinding(Tape(), model.params), model.token_index)
+                for i, (h, c) in alone.node_states.items():
+                    depth, row = batch.positions[b][i]
+                    packed = batch.levels[depth].value[row]
+                    assert np.array_equal(packed, np.concatenate([h.value, c.value])), \
+                        (mode, hidden, b, i)
+                assert np.array_equal(batch.embedding.value[b], alone.embedding.value)
 
 
 def ranked(result) -> list[tuple[str, float, list]]:

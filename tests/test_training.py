@@ -2,6 +2,7 @@ import gc
 import json
 import math
 import struct
+import types
 import weakref
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from treenlg import training
 from treenlg.engine import Tape, softmax_last
 from treenlg.errors import CompatibilityError, ConfigError, ContractError
 from treenlg.decoder import AttentionDists
@@ -28,6 +30,7 @@ from treenlg.training import (
     TrainConfig,
     att_loss,
     adapt,
+    cell_seed,
     nll_loss,
     parse_results_csv,
     results_to_csv,
@@ -197,6 +200,55 @@ class TestTrainLoop:
         composite = [t for t in flat.checkpoint.model.vocab.tokens
                      if t.startswith("@") and len(t) > 1]
         assert composite
+
+
+    def test_one_tape_per_minibatch(self, small_corpus, monkeypatch):
+        corpus, ontology = small_corpus
+        calls = []
+        backward = Tape.backward
+        monkeypatch.setattr(Tape, "backward",
+                            lambda tape, loss: calls.append(1) or backward(tape, loss))
+        train(corpus, small_config(max_epochs=2, batch_size=5), ontology)
+        assert len(calls) == 2 * math.ceil(len(corpus.split("train")) / 5)
+
+    def test_epoch_telemetry_matches_a_hand_computed_clipped_step(self, small_corpus):
+        """One batch holds the whole train split, so the epoch is one Adam
+        step: its pre-clip norm is that of the mean per-sentence gradient at
+        the initial parameters, and the clipped step moves every parameter
+        by the first Adam step of the clipped gradient."""
+        corpus, ontology = small_corpus
+        config = small_config(max_epochs=1, batch_size=1000, dropout=0.0, clip_norm=0.05)
+        outcome = train(corpus, config, ontology)
+        prep = [prepare_example(e, config.mode, ontology) for e in corpus.split("train")]
+        vocab = Vocabulary.build([p.tokens for p in prep], placeholder_only=True)
+        model = Model.create(config.mode, ontology, vocab, config.hidden,
+                             rng_stream(config.seed, STREAM_INIT), config.init_scale)
+        grads = {name: np.zeros_like(v) for name, v in model.params.items()}
+        for p in prep:
+            fwd = teacher_forced(model, p, config, training=False)
+            fwd.tape.backward(fwd.loss)
+            fwd.tape.param_grads(model.params, out=grads)
+        norm = math.sqrt(sum(float(np.sum((g / len(prep)) ** 2)) for g in grads.values()))
+        entry = outcome.log[0]
+        assert norm > config.clip_norm
+        assert entry["grad_norm_preclip_mean"] == pytest.approx(norm, rel=1e-9)
+        assert entry["grad_norm_preclip_max"] == entry["grad_norm_preclip_mean"]
+        assert entry["clipped_steps"] == 1
+        assert entry["train_tokens"] == sum(len(p.tokens) + 1 for p in prep)
+        assert entry["attention_skipped"] == sum(not p.attention_usable for p in prep)
+        assert entry["attention_skipped"] == outcome.attention_skipped
+        for name, theta in model.params.items():
+            g = grads[name] / len(prep) * (config.clip_norm / norm)
+            step = config.lr_scratch * g / (np.abs(g) + 1e-8)
+            assert np.allclose(outcome.checkpoint.model.params[name], theta - step,
+                               rtol=0, atol=1e-9), name
+
+    def test_unclipped_epochs_report_their_norms(self, small_corpus):
+        corpus, ontology = small_corpus
+        log = train(corpus, small_config(max_epochs=2, clip_norm=None), ontology).log
+        for entry in log:
+            assert entry["clipped_steps"] == 0
+            assert 0 < entry["grad_norm_preclip_mean"] <= entry["grad_norm_preclip_max"]
 
 
 class TestCheckpointRoundtrip:
@@ -436,6 +488,40 @@ class TestRunMatrix:
             run_matrix(corpus, ontology, "restaurant", "hotel", fractions=[],
                        seeds=[0], modes=["tree"], config=small_config(),
                        cell_fn=self.stub)
+
+
+class TestSweepSeeds:
+    def test_cell_seeds_are_distinct(self):
+        seeds = {(seed, j): cell_seed(seed, j) for seed in range(12) for j in range(12)}
+        assert len(set(seeds.values())) == len(seeds)
+        assert cell_seed(0, 1) != cell_seed(1, 0)
+
+    def test_modes_of_one_cell_adapt_on_the_same_sample(self, small_corpus, monkeypatch):
+        """The sweep hands every mode of a (seed, fraction) cell the same
+        adaptation seed, and so the same sample."""
+        corpus, ontology = small_corpus
+        cells = {}
+
+        class Stub:
+            checkpoint = types.SimpleNamespace(model=None)
+
+        def fake_adapt(base, target_corpus, fraction, config, seed):
+            sample = sample_adaptation(target_corpus.split("train"), fraction, seed)
+            cells.setdefault((fraction, seed), []).append(
+                (config.mode, [e.text for e in sample]))
+            return Stub()
+
+        monkeypatch.setattr(training, "train", lambda *args, **kwargs: Stub())
+        monkeypatch.setattr(training, "clone_checkpoint", lambda checkpoint: None)
+        monkeypatch.setattr(training, "adapt", fake_adapt)
+        monkeypatch.setattr(training, "evaluate_examples",
+                            lambda *args, **kwargs: {"ser": 0.0, "bleu": 0.0})
+        run_matrix(corpus, ontology, "restaurant", "hotel", fractions=[0.1, 0.5],
+                   seeds=[0, 1], modes=["tree+att", "flat-baseline"], config=small_config())
+        assert len(cells) == 4
+        for runs in cells.values():
+            assert sorted(mode for mode, _ in runs) == ["flat-baseline", "tree+att"]
+            assert runs[0][1] == runs[1][1]
 
 
 CONFIG_KEYS = list(TrainConfig().to_json())
