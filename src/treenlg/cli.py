@@ -104,6 +104,7 @@ def cmd_synth(args) -> int:
     spec = SynthSpec.from_file(args.spec) if args.spec else SynthSpec.default()
     if args.srs_per_domain is not None:
         spec.srs_per_domain = args.srs_per_domain
+        spec.validate()
     corpus, ontology = synth_corpus(spec, args.seed)
     out = _out_dir(args.out)
     ontology.to_file(out / "ontology.json")
@@ -181,6 +182,8 @@ def cmd_generate(args) -> int:
     model = checkpoint.model
     corpus = load_corpus(args.corpus, model.ontology)
     examples = corpus.split(args.split) if args.split else corpus.examples
+    if not examples:
+        raise ConfigError(f"no examples to generate in split {args.split!r}")
     beam = args.beam if args.beam is not None else \
         TrainConfig.from_json(checkpoint.config).beam_size
     lines = []
@@ -250,12 +253,20 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
+def _number_list(text: str, convert, flag: str) -> list:
+    try:
+        return [convert(x) for x in text.split(",")]
+    except ValueError:
+        raise ConfigError(f"{flag} must be a comma-separated list of numbers, "
+                          f"got {text!r}") from None
+
+
 def cmd_sweep(args) -> int:
     config = _config_from_args(args)
     ontology = load_ontology(args.ontology)
     corpus = load_corpus(args.corpus, ontology)
-    fractions = [float(x) for x in args.fractions.split(",")]
-    seeds = [int(x) for x in args.seeds.split(",")]
+    fractions = _number_list(args.fractions, float, "--fractions")
+    seeds = _number_list(args.seeds, int, "--seeds")
     modes = args.modes.split(",")
     out = _out_dir(args.out)
     log_fn = print if args.verbose else None

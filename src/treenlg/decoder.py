@@ -43,30 +43,37 @@ from .tree import ATTENDED, EncodedTree, LabelStates
 
 CELL_GATES = ("i", "f", "o", "g")
 STATE_GATES = ("r", "w", "d")
+GATES = CELL_GATES + STATE_GATES
 
 PLACEHOLDER = "@"
 
 
 def decoder_shapes(vocab_size: int, hidden: int,
                    feedback_size: int) -> dict[str, tuple[int, ...]]:
-    x_dim = hidden + feedback_size
-    shapes = {"dec.emb": (vocab_size, hidden)}
-    for gate in CELL_GATES:
-        shapes[f"dec.{gate}.x"] = (hidden, x_dim)
-        shapes[f"dec.{gate}.h"] = (hidden, hidden)
-        shapes[f"dec.{gate}.b"] = (hidden,)
-    for gate in STATE_GATES:
-        shapes[f"dec.{gate}.x"] = (hidden, x_dim)
-        shapes[f"dec.{gate}.h"] = (hidden, hidden)
-        shapes[f"dec.{gate}.s"] = (hidden, hidden)
-        shapes[f"dec.{gate}.b"] = (hidden,)
-    shapes["dec.out.w"] = (vocab_size, hidden)
-    return shapes
+    """The word embedding, the gate stacks (rows in ``GATES`` order; the
+    semantic-state stack has the last three gates only) and the output
+    projection."""
+    n = len(GATES)
+    return {"dec.emb": (vocab_size, hidden),
+            "dec.x": (n * hidden, hidden + feedback_size),
+            "dec.h": (n * hidden, hidden),
+            "dec.s": (len(STATE_GATES) * hidden, hidden),
+            "dec.b": (n * hidden,),
+            "dec.out.w": (vocab_size, hidden)}
 
 
 def init_decoder_params(vocab_size: int, hidden: int, feedback_size: int,
                         rng: np.random.Generator, scale: float = 0.1) -> dict[str, np.ndarray]:
-    return init_uniform(decoder_shapes(vocab_size, hidden, feedback_size), rng, scale)
+    """Drawn in order: the embedding, each gate's input, hidden and (for the
+    state gates) semantic-state blocks, gate by gate, and the output
+    projection.  The biases start at zero and draw nothing."""
+    blocks = [("dec.emb", (vocab_size, hidden))]
+    for gate in GATES:
+        blocks += [("dec.x", (hidden, hidden + feedback_size)), ("dec.h", (hidden, hidden))]
+        blocks += [("dec.s", (hidden, hidden))] if gate in STATE_GATES else []
+    params = init_uniform(blocks + [("dec.out.w", (vocab_size, hidden))], rng, scale)
+    params["dec.b"] = np.zeros(len(GATES) * hidden)
+    return params
 
 
 @dataclass
@@ -79,7 +86,7 @@ class DecoderState:
     s: Node
 
     def take(self, tape: Tape, rows) -> "DecoderState":
-        """The given rows of the state, stacked, as views on ``tape``; a
+        """The given rows of the state, as one stack of views on ``tape``; a
         one-hypothesis state counts as a stack of one.  A row may repeat
         only on a non-recording tape."""
         return DecoderState(*(take_rows(tape, n, rows) for n in (self.h, self.c, self.s)))
@@ -88,13 +95,6 @@ class DecoderState:
 def initial_state(encoded: EncodedTree, hidden: int, binding: ParamBinding) -> DecoderState:
     zeros = binding.tape.leaf(np.zeros(encoded.embedding.shape[:-1] + (hidden,)))
     return DecoderState(h=zeros, c=zeros, s=encoded.embedding)
-
-
-_ALL_GATES = CELL_GATES + STATE_GATES
-_X_STACK = tuple(f"dec.{g}.x" for g in _ALL_GATES)
-_H_STACK = tuple(f"dec.{g}.h" for g in _ALL_GATES)
-_S_STACK = tuple(f"dec.{g}.s" for g in STATE_GATES)
-_B_STACK = tuple(f"dec.{g}.b" for g in _ALL_GATES)
 
 
 def _check_stack(*values: np.ndarray) -> None:
@@ -120,15 +120,14 @@ def step(binding: ParamBinding, x: Node, state: DecoderState,
     ([K, H]): returns the new state and the word distribution(s).  ``mask``
     is the step output's inverted-dropout mask, if any.
 
-    Two fused ops carry it.  The cell op computes all seven gates (two
-    stacked matmuls for the input and hidden paths, a third against the
-    previous semantic state for the reading, writing and semantic-update
-    gates), the memory cell, the semantic state and the hidden state, and
-    holds them packed as [h | c | s].  The output op applies dropout, the
+    Two fused ops carry it.  The cell op computes all seven gates (one
+    product with each gate stack for the input and hidden paths, a third
+    against the previous semantic state for the reading, writing and
+    semantic-update gates), the memory cell, the semantic state and the
+    hidden state, and holds them packed as [h | c | s].  The output op applies dropout, the
     vocabulary projection and the softmax."""
     tape = binding.tape
-    wx, wh = binding.stacked(_X_STACK), binding.stacked(_H_STACK)
-    ws, b = binding.stacked(_S_STACK), binding.stacked(_B_STACK)
+    wx, wh, ws, b = (binding[name] for name in ("dec.x", "dec.h", "dec.s", "dec.b"))
     hidden = wh.shape[1]
     _check_stack(x.value, state.h.value, state.c.value, state.s.value)
     if x.shape[-1] != wx.shape[1] or any(n.shape[-1] != hidden
@@ -196,9 +195,6 @@ class AttentionDists:
     domain: Node
     act: Node
     slot: Node
-
-    def as_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return (self.domain.value.copy(), self.act.value.copy(), self.slot.value.copy())
 
 
 _LAYER_SIZE = {"domain": "domains", "act": "acts", "slot": "slots"}

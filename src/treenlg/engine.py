@@ -41,15 +41,12 @@ def _as_f64(value) -> Array:
 class Node:
     """One entry on the tape: a cached forward value plus its adjoint hook.
 
-    ``param`` names the parameter a leaf holds, or a tuple of names for a
-    leaf holding several parameters concatenated along their first axis.
-    A node does not refer to its tape, so nothing keeps a finished tape
-    alive but its users."""
+    ``param`` names the parameter a leaf holds.  A node does not refer to
+    its tape, so nothing keeps a finished tape alive but its users."""
 
     __slots__ = ("value", "parents", "vjp", "param", "grad", "grad_owned", "__weakref__")
 
-    def __init__(self, value: Array, parents: tuple["Node", ...], vjp,
-                 param: str | tuple[str, ...] | None):
+    def __init__(self, value: Array, parents: tuple["Node", ...], vjp, param: str | None):
         self.value = value
         self.parents = parents
         self.vjp = vjp
@@ -82,7 +79,7 @@ class Tape:
             self.nodes.append(node)
         return node
 
-    def leaf(self, value, param: str | tuple[str, ...] | None = None) -> Node:
+    def leaf(self, value, param: str | None = None) -> Node:
         """Register an input tensor; ``param`` names it for gradient collection."""
         return self._append(value, (), None, param)
 
@@ -124,56 +121,32 @@ class Tape:
                     parent.grad = parent.grad + pg
                     parent.grad_owned = True
 
-    def param_grads(self, params: Mapping[str, Array],
-                    out: dict[str, Array] | None = None) -> dict[str, Array]:
+    def param_grads(self, params: Mapping[str, Array]) -> dict[str, Array]:
         """Gradients per named parameter; zeros for parameters the loss never
-        touched.  With ``out`` the gradients accumulate in place (batching).
-        A leaf of several parameters hands each its block of rows."""
-        grads = out if out is not None else \
-            {name: np.zeros_like(value) for name, value in params.items()}
+        touched."""
+        grads = {name: np.zeros_like(value) for name, value in params.items()}
         for node in self.nodes:
             if node.param is None or node.grad is None:
                 continue
-            names = (node.param,) if isinstance(node.param, str) else node.param
-            offset = 0
-            for name in names:
-                if name not in grads:
-                    raise ContractError(f"unknown parameter {name!r} on tape")
-                if len(names) == 1:
-                    grads[name] += node.grad
-                    continue
-                rows = grads[name].shape[0]
-                grads[name] += node.grad[offset:offset + rows]
-                offset += rows
+            if node.param not in grads:
+                raise ContractError(f"unknown parameter {node.param!r} on tape")
+            grads[node.param] += node.grad
         return grads
 
 
 class ParamBinding:
-    """Binds a named-parameter dict to one tape, one leaf per name.
-
-    ``stacked`` caches one leaf per tuple of names that holds those
-    parameters concatenated along their first axis (row-stacked gate
-    matrices, joined gate biases), so gate blocks share one matmul per step;
-    ``Tape.param_grads`` splits its gradient back per name."""
+    """Binds a named-parameter dict to one tape, one leaf per name."""
 
     def __init__(self, tape: Tape, params: Mapping[str, Array]):
         self.tape = tape
         self.params = params
-        self._leaves: dict[str | tuple[str, ...], Node] = {}
+        self._leaves: dict[str, Node] = {}
 
     def __getitem__(self, name: str) -> Node:
         node = self._leaves.get(name)
         if node is None:
             node = self.tape.leaf(self.params[name], param=name)
             self._leaves[name] = node
-        return node
-
-    def stacked(self, names: tuple[str, ...]) -> Node:
-        node = self._leaves.get(names)
-        if node is None:
-            node = self.tape.leaf(np.concatenate([self.params[n] for n in names]),
-                                  param=names)
-            self._leaves[names] = node
         return node
 
 
@@ -237,13 +210,15 @@ def dropout_mask(shape: tuple[int, ...], rate: float, training: bool,
     return (rng.random(shape) >= rate) / (1.0 - rate)
 
 
-def init_uniform(shapes: Mapping[str, tuple[int, ...]], rng: np.random.Generator,
+def init_uniform(blocks: list[tuple[str, tuple[int, ...]]], rng: np.random.Generator,
                  scale: float = 0.1) -> dict[str, Array]:
-    """Parameters drawn uniformly from [-scale, scale] in the order of
-    ``shapes``; biases (names ending in ".b") start at zero and draw nothing."""
-    return {name: np.zeros(shape) if name.endswith(".b")
-            else rng.uniform(-scale, scale, size=shape)
-            for name, shape in shapes.items()}
+    """Parameters drawn uniformly from [-scale, scale], one (name, shape)
+    block at a time in list order; the blocks of one name are joined by
+    rows in that order (a gate stack has one block per gate)."""
+    drawn: dict[str, list[Array]] = {}
+    for name, shape in blocks:
+        drawn.setdefault(name, []).append(rng.uniform(-scale, scale, size=shape))
+    return {name: np.concatenate(parts) for name, parts in drawn.items()}
 
 
 class Adam:

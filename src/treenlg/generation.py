@@ -3,7 +3,7 @@
 The search rule:
 
 * Every live hypothesis is advanced by one decoder step; all of them share
-  one stacked ``step`` call per time step, and the children that emit the
+  one ``step`` call over their stack per time step, and the children that emit the
   placeholder share one ``attend`` call.
 * Per parent, the ``beam_size`` best next tokens are taken by a stable sort
   of the log probabilities, so ties go to the lowest token id.  An end token
@@ -131,7 +131,7 @@ def _rank(model: Model, sr: SemanticRepresentation, hyps: list[Hypothesis],
 
 def _feedback(live: list[Hypothesis], placeholder_id: int | None, ontology: Ontology,
               tape: Tape) -> AttentionDists | None:
-    """The stacked feedback block: the attention distributions of the last
+    """The feedback block of the stack: the attention distributions of the last
     word for hypotheses that just emitted a placeholder, zeros elsewhere."""
     rows = [k for k, h in enumerate(live)
             if h.token_ids and h.token_ids[-1] == placeholder_id]

@@ -20,7 +20,7 @@ import numpy as np
 from . import decoder as dec
 from . import tree as enc
 from .decoder import PLACEHOLDER
-from .engine import ParamBinding, init_uniform
+from .engine import ParamBinding
 from .errors import CompatibilityError, ConfigError, ContractError, ParseError
 from .semantics import (
     Example,
@@ -129,8 +129,8 @@ def prepare_example(example: Example, mode: str, ontology: Ontology) -> Prepared
 
 def param_shapes(mode: str, ontology: Ontology, vocab_size: int,
                  hidden: int) -> dict[str, tuple[int, ...]]:
-    """Every parameter tensor's shape, in initialisation order: the encoder
-    of the mode, then the decoder."""
+    """Every parameter tensor's shape, as checkpoints must hold them: the
+    encoder of the mode, then the decoder."""
     shapes = (enc.encoder_shapes(ontology, hidden) if mode in ("tree+att", "tree")
               else enc.flat_shapes(ontology, hidden))
     shapes.update(dec.decoder_shapes(vocab_size, hidden, ontology.feedback_size))
@@ -164,8 +164,12 @@ class Model:
                rng: np.random.Generator, scale: float = 0.1) -> "Model":
         if mode not in MODES:
             raise ConfigError(f"unknown mode {mode!r}, expected one of {MODES}")
-        return Model(mode, hidden, ontology, vocab,
-                     init_uniform(param_shapes(mode, ontology, len(vocab), hidden), rng, scale))
+        init_encoder = (enc.init_encoder_params if mode in ("tree+att", "tree")
+                        else enc.init_flat_params)
+        params = init_encoder(ontology, hidden, rng, scale)
+        params.update(dec.init_decoder_params(len(vocab), hidden, ontology.feedback_size,
+                                              rng, scale))
+        return Model(mode, hidden, ontology, vocab, params)
 
     def encode_sr(self, sr: SemanticRepresentation, binding: ParamBinding) -> enc.EncodedTree:
         if self.uses_tree:
@@ -201,6 +205,9 @@ class Model:
 
 
 _MAGIC = b"TREENLG1\n"
+# Version 2 stores each gate stack as one tensor; version 1 stored one
+# tensor per gate and is not read.
+_VERSION = 2
 
 
 def save_checkpoint(path: str | Path, model: Model, config: dict,
@@ -208,7 +215,7 @@ def save_checkpoint(path: str | Path, model: Model, config: dict,
     """Self-describing binary container; byte-identical for identical inputs."""
     names = sorted(model.params)
     header = {
-        "version": 1,
+        "version": _VERSION,
         "mode": model.mode,
         "hidden": model.hidden,
         "ontology": model.ontology.schema,
@@ -260,9 +267,10 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         offset += 8
         header = json.loads(data[offset:offset + header_len])
         offset += header_len
-        if header.get("version") != 1:
+        if header.get("version") != _VERSION:
             raise CompatibilityError(
-                f"{path}: unsupported checkpoint version {header.get('version')}")
+                f"{path}: unsupported checkpoint version {header.get('version')} "
+                f"(this build reads version {_VERSION} only)")
         ontology = Ontology(header["ontology"])
         if ontology.fingerprint() != header["ontology_fingerprint"]:
             raise CompatibilityError(f"{path}: ontology fingerprint mismatch")

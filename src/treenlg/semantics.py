@@ -77,12 +77,6 @@ class Ontology:
                             f"({d}, {a}, {s}): unknown property {prop!r}, "
                             f"expected one of {', '.join(PROPERTIES)}")
 
-    def acts_of(self, domain: str) -> tuple[str, ...]:
-        return tuple(sorted(self.schema[domain]))
-
-    def slots_of(self, domain: str, act: str) -> tuple[str, ...]:
-        return tuple(sorted(self.schema[domain][act]))
-
     def has_triple(self, domain: str, act: str, slot: str) -> bool:
         return (domain, act, slot) in self._triple_index
 

@@ -196,6 +196,8 @@ class SynthSpec:
 def synth_corpus(spec: SynthSpec, seed: int) -> tuple[Corpus, Ontology]:
     """Deterministic corpus with ``spec.srs_per_domain`` distinct SRs per domain,
     one reference sentence per SR, split 3:1:1 within each domain."""
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
     ontology = spec.build_ontology()
     rng = np.random.default_rng(seed)
     examples: list[Example] = []

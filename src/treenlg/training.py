@@ -14,10 +14,13 @@ from __future__ import annotations
 
 import json
 import math
+import multiprocessing
+import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -96,6 +99,10 @@ class TrainConfig:
         for name in ("lr_scratch", "lr_adapt", "init_scale"):
             if not getattr(self, name) > 0:  # also rejects NaN
                 raise ConfigError(f"{name} must be positive")
+        if not math.isfinite(2.0 * self.init_scale):  # the width of the uniform draw
+            raise ConfigError(f"init_scale is too large: {self.init_scale}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.clip_norm is not None and not self.clip_norm > 0:
             raise ConfigError(f"clip_norm must be positive (null turns clipping off), "
                               f"got {self.clip_norm}")
@@ -140,7 +147,7 @@ def att_loss(tape: Tape, nll: Node,
     """Plain objective plus the placeholder-step label penalties: the negative
     log probability of the true domain, act and slot under each distribution,
     as one fused op (``nll`` itself when no step is supervised).  Each step
-    pairs its distributions (one row or K stacked) with the (domain, act,
+    pairs its distributions (one row or a stack of K) with the (domain, act,
     slot) indices of each row, [3] or [K, 3]; a row of -1 is not
     supervised."""
     picks = []
@@ -455,6 +462,7 @@ def gradcheck_setup(hidden: int = 8, seed: int = 0,
     example = Example(sr, "a cheap place in the west ?", "train")
     config = TrainConfig(hidden=hidden, dropout=0.0, seed=seed, mode=mode,
                          max_length=20)
+    config.validate()
     prep = prepare_example(example, mode, ontology)
     vocab = Vocabulary.build([prep.tokens], placeholder_only=mode == "tree+att")
     model = Model.create(mode, ontology, vocab, hidden,
@@ -468,6 +476,9 @@ def gradient_check_report(hidden: int = 8, seed: int = 0, h: float = 1e-5,
     differences over every parameter tensor."""
     from .engine import grad_check
 
+    if not (0.0 < h < math.inf and 0.0 < tolerance < math.inf):  # also rejects NaN
+        raise ConfigError(f"step and tolerance must be positive and finite, "
+                          f"got {h} and {tolerance}")
     model, prep, config = gradcheck_setup(hidden, seed)
     report: dict = {"h": h, "tolerance": tolerance, "objectives": {}}
     passed = True
@@ -566,6 +577,31 @@ def clone_checkpoint(checkpoint: Checkpoint) -> Checkpoint:
                       dict(checkpoint.dev_metrics))
 
 
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@contextmanager
+def worker_pool(workers: int) -> Iterator[ProcessPoolExecutor]:
+    """A pool of ``workers`` fresh interpreters ("spawn"), each with one BLAS
+    thread.  The products here are at most a few hundred rows, where one
+    thread is as fast as several, and more BLAS threads than cores across the
+    workers slow them all down.  A BLAS library reads its thread count when
+    numpy is imported, so the variables are set in this process's environment,
+    which the workers inherit, for as long as the pool can start one."""
+    saved = {name: os.environ.get(name) for name in _BLAS_THREAD_VARIABLES}
+    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARIABLES, "1"))
+    try:
+        with ProcessPoolExecutor(max_workers=workers,
+                                 mp_context=multiprocessing.get_context("spawn")) as pool:
+            yield pool
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = value
+
+
 def run_matrix(corpus: Corpus, ontology: Ontology, source: str, target: str,
                fractions: list[float], seeds: list[int], modes: list[str],
                config: TrainConfig,
@@ -579,6 +615,14 @@ def run_matrix(corpus: Corpus, ontology: Ontology, source: str, target: str,
     (used to test the bookkeeping without paying for training)."""
     if not fractions or not seeds or not modes:
         raise ConfigError("fractions, seeds and modes must be non-empty")
+    if not set(modes) <= set(MODES):
+        raise ConfigError(f"modes must be among {MODES}, got {modes}")
+    if not all(0.0 < f <= 1.0 for f in fractions):  # also rejects NaN
+        raise ConfigError(f"fractions must be in (0, 1], got {fractions}")
+    if min(seeds) < 0:
+        raise ConfigError(f"seeds must be non-negative, got {seeds}")
+    if workers < 1:
+        raise ConfigError(f"workers must be positive, got {workers}")
 
     rows: list[dict] = []
     if cell_fn is not None:
@@ -596,7 +640,7 @@ def run_matrix(corpus: Corpus, ontology: Ontology, source: str, target: str,
                   target_corpus, ontology, source, target)
                  for mode in modes for seed in seeds]
         if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
+            with worker_pool(workers) as pool:
                 for task_rows in pool.map(_matrix_task, tasks):
                     rows.extend(task_rows)
         else:

@@ -23,7 +23,6 @@ from functools import cached_property
 import numpy as np
 
 from .engine import Node, ParamBinding, Tape, init_uniform, logistic, slice_last, take_rows
-from .errors import ContractError
 from .semantics import (
     NO_SLOT_PROPERTY,
     NO_SLOT_TOKEN,
@@ -62,24 +61,6 @@ class SemTree:
     def __len__(self) -> int:
         return len(self.nodes)
 
-    def post_order(self) -> list[int]:
-        order: list[int] = []
-
-        def walk(i: int) -> None:
-            for child in self.nodes[i].children:
-                walk(child)
-            order.append(i)
-
-        walk(0)
-        return order
-
-    def depth(self, i: int) -> int:
-        d = 0
-        while self.nodes[i].parent is not None:
-            i = self.nodes[i].parent
-            d += 1
-        return d
-
     def path(self, i: int) -> tuple[str, ...]:
         """Token path from the root down to node ``i``."""
         toks = []
@@ -88,26 +69,6 @@ class SemTree:
             toks.append(self.nodes[node].token)
             node = self.nodes[node].parent
         return tuple(reversed(toks))
-
-    def leaves(self) -> list[int]:
-        return [i for i, n in enumerate(self.nodes) if not n.children]
-
-    def check_depths(self) -> None:
-        """Every activated leaf must sit at depth 4 (root, domain, act, slot, property)."""
-        for i in self.leaves():
-            if self.depth(i) != 4:
-                raise ContractError(f"leaf {i} at depth {self.depth(i)}, expected 4")
-
-    def to_entries(self) -> set[tuple[str, str, str | None]]:
-        """Reconstruct the SR's (domain, act, slot) structure from the tree."""
-        out = set()
-        for i in self.leaves():
-            slot_node = self.nodes[self.nodes[i].parent]
-            act_node = self.nodes[slot_node.parent]
-            domain_node = self.nodes[act_node.parent]
-            slot = None if slot_node.token == NO_SLOT_TOKEN else slot_node.token
-            out.add((domain_node.token, act_node.token, slot))
-        return out
 
 
 def build_tree(sr: SemanticRepresentation, ontology: Ontology) -> SemTree:
@@ -146,17 +107,23 @@ def build_tree(sr: SemanticRepresentation, ontology: Ontology) -> SemTree:
 
 
 def encoder_shapes(ontology: Ontology, hidden: int) -> dict[str, tuple[int, ...]]:
-    shapes = {"enc.emb": (len(ontology.embedding_tokens()), hidden)}
-    for gate in GATES:
-        shapes[f"enc.{gate}.e"] = (hidden, hidden)
-        shapes[f"enc.{gate}.h"] = (hidden, hidden)
-        shapes[f"enc.{gate}.b"] = (hidden,)
-    return shapes
+    """The token embedding and the gate stacks, rows in ``GATES`` order."""
+    n = len(GATES)
+    return {"enc.emb": (len(ontology.embedding_tokens()), hidden),
+            "enc.e": (n * hidden, hidden),
+            "enc.h": (n * hidden, hidden),
+            "enc.b": (n * hidden,)}
 
 
 def init_encoder_params(ontology: Ontology, hidden: int,
                         rng: np.random.Generator, scale: float = 0.1) -> dict[str, np.ndarray]:
-    return init_uniform(encoder_shapes(ontology, hidden), rng, scale)
+    """Drawn in order: the embedding, then each gate's embedding and hidden
+    blocks, gate by gate.  The biases start at zero and draw nothing."""
+    blocks = [("enc.emb", (len(ontology.embedding_tokens()), hidden))]
+    blocks += [(name, (hidden, hidden)) for _ in GATES for name in ("enc.e", "enc.h")]
+    params = init_uniform(blocks, rng, scale)
+    params["enc.b"] = np.zeros(len(GATES) * hidden)
+    return params
 
 
 @dataclass
@@ -216,9 +183,6 @@ class EncodedTree:
                 if layer in self.labels else {} for layer in ATTENDED}
 
 
-_E_STACK = tuple(f"enc.{g}.e" for g in GATES)
-_H_STACK = tuple(f"enc.{g}.h" for g in GATES)
-_B_STACK = tuple(f"enc.{g}.b" for g in GATES)
 _DEPTH = {layer: d for d, layer in enumerate(LAYERS)}
 
 
@@ -312,13 +276,13 @@ def _level(binding: ParamBinding, tokens: np.ndarray, below: Node | None,
     gates i, f, o, g, c = i·g (+ f·Σc) and h = o·tanh(c).  The level holds
     [h | c] per row; the weight adjoints are one Δᵀ·X product each.  A row
     without children (a leaf, or the root of an empty SR) sees zero sums."""
-    emb, w_e, b = binding["enc.emb"], binding.stacked(_E_STACK), binding.stacked(_B_STACK)
+    emb, w_e, b = binding["enc.emb"], binding["enc.e"], binding["enc.b"]
     H = emb.shape[1]
     e = emb.value[tokens]
     z = _rowwise(w_e.value, e) + b.value
     inner = below is not None and below.shape[0] > 0
     if inner:
-        w_h = binding.stacked(_H_STACK)
+        w_h = binding["enc.h"]
         idx, counts, valid = _padded(children)
         sums = _ordered_sum(below.value, idx, counts)
         h_sum, c_sum = np.ascontiguousarray(sums[:, :H]), sums[:, H:]
@@ -374,7 +338,8 @@ def flat_shapes(ontology: Ontology, hidden: int) -> dict[str, tuple[int, ...]]:
 
 def init_flat_params(ontology: Ontology, hidden: int,
                      rng: np.random.Generator, scale: float = 0.1) -> dict[str, np.ndarray]:
-    return init_uniform(flat_shapes(ontology, hidden), rng, scale)
+    return {**init_uniform([("flat.w", (hidden, len(ontology.triples)))], rng, scale),
+            "flat.b": np.zeros(hidden)}
 
 
 def triple_indicator(sr: SemanticRepresentation, ontology: Ontology) -> np.ndarray:

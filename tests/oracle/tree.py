@@ -1,6 +1,7 @@
 """Reference copy of the tree and flat encoders as they were before the fused
 per-node op, on the reference engine in this package; only the imports
-differ from the original.  ``encode_sr`` stands in for ``Model.encode_sr``.
+and ``post_order``, a method of the tree there, differ from the original.
+``encode_sr`` stands in for ``Model.encode_sr``.
 
 Encoding runs child-sum LSTM transitions bottom-up: each node sums its
 children's hidden states and memory cells, gates them together with the
@@ -43,6 +44,20 @@ _H_STACK = tuple(f"enc.{g}.h" for g in GATES)
 _B_JOIN = tuple(f"enc.{g}.b" for g in GATES)
 
 
+def post_order(tree: SemTree) -> list[int]:
+    """Node indices of ``tree``, each child before its parent, children in
+    canonical order."""
+    order: list[int] = []
+
+    def walk(i: int) -> None:
+        for child in tree.nodes[i].children:
+            walk(child)
+        order.append(i)
+
+    walk(0)
+    return order
+
+
 def encode(tree: SemTree, binding: ParamBinding,
            token_index: dict[str, int]) -> EncodedTree:
     """Child-sum bottom-up pass.  Leaves see zero child sums, so their gates
@@ -51,7 +66,7 @@ def encode(tree: SemTree, binding: ParamBinding,
     The four gate pre-activations share one stacked matmul per input path."""
     emb = binding["enc.emb"]
     states: dict[int, tuple[Node, Node]] = {}
-    for i in tree.post_order():
+    for i in post_order(tree):
         node = tree.nodes[i]
         e = row(emb, token_index[node.token])
         h_sum: Node | None = None

@@ -1,7 +1,10 @@
 import json
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treenlg.cli import main
 from treenlg.model import load_checkpoint, save_checkpoint
@@ -182,7 +185,7 @@ class TestAdapt:
     def test_misshaped_tensor_exits_3(self, data_dir, small_checkpoint, tmp_path, capsys):
         ckpt = load_checkpoint(small_checkpoint)
         hidden = ckpt.model.hidden
-        ckpt.model.params["dec.i.h"] = np.zeros((hidden, hidden - 1))
+        ckpt.model.params["dec.h"] = np.zeros((7 * hidden, hidden - 1))
         bad = tmp_path / "misshaped.ckpt"
         save_checkpoint(bad, ckpt.model, ckpt.config, ckpt.epoch, ckpt.dev_metrics)
         code = main(["generate", "--checkpoint", str(bad),
@@ -190,7 +193,26 @@ class TestAdapt:
                      "--out", str(tmp_path / "g.jsonl")])
         err = capsys.readouterr().err.strip().splitlines()
         assert code == 3
-        assert len(err) == 1 and "dec.i.h" in err[0]
+        assert len(err) == 1 and "dec.h" in err[0]
+
+    def test_version_1_checkpoint_exits_3(self, data_dir, small_checkpoint, tmp_path, capsys):
+        """Version 1 held one tensor per gate; it is refused, not converted."""
+        data = small_checkpoint.read_bytes()
+        magic = b"TREENLG1\n"
+        (length,) = struct.unpack_from("<Q", data, len(magic))
+        start = len(magic) + 8
+        header = json.loads(data[start:start + length])
+        assert header["version"] == 2
+        header["version"] = 1
+        raw = json.dumps(header).encode()
+        old = tmp_path / "v1.ckpt"
+        old.write_bytes(magic + struct.pack("<Q", len(raw)) + raw + data[start + length:])
+        code = main(["generate", "--checkpoint", str(old),
+                     "--corpus", str(data_dir / "corpus.jsonl"),
+                     "--out", str(tmp_path / "g.jsonl")])
+        err = capsys.readouterr().err.strip().splitlines()
+        assert code == 3
+        assert len(err) == 1 and "version 1" in err[0]
 
     def test_non_finite_tensor_exits_3(self, data_dir, small_checkpoint, tmp_path, capsys):
         data = small_checkpoint.read_bytes()
@@ -202,6 +224,89 @@ class TestAdapt:
         err = capsys.readouterr().err.strip().splitlines()
         assert code == 3
         assert len(err) == 1 and "non-finite" in err[0]
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--fractions", "abc"], ["sweep", "--fractions", "0.1,,"],
+        ["sweep", "--fractions", "1.5"], ["sweep", "--seeds", "x"],
+        ["sweep", "--seeds", "-1"], ["sweep", "--workers", "0"], ["sweep", "--workers", "-2"],
+        ["synth", "--seed", "-1"], ["synth", "--srs-per-domain", "-3"],
+        ["gradcheck", "--hidden", "0"], ["gradcheck", "--step", "0"],
+        ["gradcheck", "--tolerance", "nan"], ["train", "--seed", "-1"],
+        ["train", "--init-scale", "inf"], ["generate", "--split", "nope"]], ids=" ".join)
+    def test_exits_2_with_one_line(self, data_dir, small_checkpoint, tmp_path, capsys, argv):
+        data = ["--corpus", str(data_dir / "corpus.jsonl"),
+                "--ontology", str(data_dir / "ontology.json")]
+        rest = {"sweep": data + ["--source", "restaurant", "--target", "hotel",
+                                 "--out", str(tmp_path / "sweep")],
+                "synth": ["--out", str(tmp_path / "synth")],
+                "gradcheck": [],
+                "train": data + ["--out", str(tmp_path / "train")],
+                "generate": ["--checkpoint", str(small_checkpoint), "--corpus",
+                             str(data_dir / "corpus.jsonl"), "--out", str(tmp_path / "g.jsonl")]}
+        code = main(argv + rest[argv[0]])
+        err = capsys.readouterr().err.strip().splitlines()
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert not (tmp_path / "synth").exists() and not (tmp_path / "g.jsonl").exists()
+
+
+@pytest.fixture(scope="module")
+def tiny_run(tmp_path_factory):
+    """A five-SR-per-domain corpus and a one-epoch checkpoint trained on it."""
+    out = tmp_path_factory.mktemp("tiny")
+    assert main(["synth", "--out", str(out), "--seed", "1", "--srs-per-domain", "5"]) == 0
+    assert main(["train", "--corpus", str(out / "corpus.jsonl"),
+                 "--ontology", str(out / "ontology.json"), "--out", str(out),
+                 "--hidden", "3", "--max-epochs", "1"]) == 0
+    return out
+
+
+# Option values: valid and invalid numbers, lists, names and splits.  Sizes
+# stay tiny (hidden and counts at most 3), so a run that is accepted takes
+# a fraction of a second.
+VALUE = st.one_of(st.integers(-3, 3).map(str), st.sampled_from(
+    ["0.5", "1e-3", "nan", "inf", "-inf", "1e308", "", "abc", "0.1,,", "0,1", "0.5,1",
+     "tree+att", "flat-baseline", "tree+att,tree", "hotel", "restaurant", "test", "nope"]))
+FUZZED = {
+    "synth": ["--seed", "--srs-per-domain"],
+    "train": ["--hidden", "--seed", "--dropout", "--batch-size", "--lr-scratch",
+              "--init-scale", "--clip-norm", "--max-length", "--patience", "--domain"],
+    "generate": ["--split", "--beam", "--max-length"],
+    # --workers stays below 2 here: a valid count would start worker processes.
+    "sweep": ["--fractions", "--seeds", "--modes", "--hidden", "--source", "--target"],
+}
+
+
+@st.composite
+def command_lines(draw, data):
+    command = draw(st.sampled_from(sorted(FUZZED)))
+    argv = [command]
+    for flag in draw(st.lists(st.sampled_from(FUZZED[command]), unique=True, max_size=4)):
+        argv += [flag, draw(VALUE)]
+    if command == "sweep" and draw(st.booleans()):
+        argv += ["--workers", draw(st.sampled_from(["-2", "0", "1", "x"]))]
+    corpus = ["--corpus", str(data / "corpus.jsonl")]
+    ontology = ["--ontology", str(data / "ontology.json")]
+    tail = {"synth": ["--out", str(data / "synth")],
+            "train": corpus + ontology + ["--out", str(data / "train"), "--max-epochs", "1"],
+            "generate": corpus + ["--checkpoint", str(data / "checkpoint.ckpt"),
+                                  "--out", str(data / "gen.jsonl")],
+            "sweep": corpus + ontology + ["--source", "restaurant", "--target", "hotel",
+                                          "--fractions", "0.5", "--seeds", "0",
+                                          "--modes", "flat-baseline", "--max-epochs", "1",
+                                          "--hidden", "2", "--out", str(data / "sweep")]}
+    # argparse keeps the last value of a repeated flag, so the drawn ones win.
+    return [command] + tail[command] + argv[1:]
+
+
+class TestFuzz:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_any_command_line_ends_in_a_documented_exit_code(self, tiny_run, data):
+        argv = data.draw(command_lines(tiny_run))
+        assert main(argv) in (0, 2, 3, 4), argv
 
 
 class TestGenerateEvaluate:
@@ -370,3 +475,7 @@ class TestGradcheckCommand:
         report = json.loads(capsys.readouterr().out)
         assert report["passed"]
         assert report["objectives"]["plain"]["max_rel_err"] <= 1e-6
+        # One entry per parameter tensor, so one per gate stack.
+        assert sorted(report["objectives"]["plain"]["per_param"]) == [
+            "dec.b", "dec.emb", "dec.h", "dec.out.w", "dec.s", "dec.x",
+            "enc.b", "enc.e", "enc.emb", "enc.h"]

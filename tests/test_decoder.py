@@ -31,6 +31,11 @@ def ontology():
     })
 
 
+def arrays(dists):
+    """Copies of the domain, act and slot distributions."""
+    return tuple(n.value.copy() for n in (dists.domain, dists.act, dists.slot))
+
+
 def zero_params(vocab, hidden, feedback):
     params = init_decoder_params(vocab, hidden, feedback, np.random.default_rng(0))
     return {k: np.zeros_like(v) for k, v in params.items()}
@@ -156,7 +161,7 @@ class TestAttend:
         tape = Tape()
         enc = encode(build_tree(sr, ontology), ParamBinding(tape, params), index)
         dists = attend(tape.leaf(rng.normal(size=4)), enc, ontology)
-        for vec in dists.as_arrays():
+        for vec in arrays(dists):
             assert np.all(vec >= 0.0)
             assert abs(vec.sum() - 1.0) <= 1e-12
 
@@ -172,8 +177,8 @@ class TestAttend:
             q = rng.normal(size=2)
             base = attend(tape.leaf(q), enc, ontology)
             scaled = attend(tape.leaf(q * 7.3), enc, ontology)
-            t1 = resolve_placeholder(0, *base.as_arrays(), ontology).triple
-            t2 = resolve_placeholder(0, *scaled.as_arrays(), ontology).triple
+            t1 = resolve_placeholder(0, *arrays(base), ontology).triple
+            t2 = resolve_placeholder(0, *arrays(scaled), ontology).triple
             assert t1 == t2
 
 
@@ -186,7 +191,7 @@ class TestAssemble:
         d = np.zeros(len(ontology.domains)); d[ontology.domain_index("attraction")] = 1.0
         a = np.zeros(len(ontology.acts)); a[ontology.act_index("inform")] = 1.0
         s = np.zeros(len(ontology.slots)); s[ontology.slot_index("area")] = 1.0
-        entry = resolve_placeholder(3, *self.dists_for(ontology, tape, d, a, s).as_arrays(),
+        entry = resolve_placeholder(3, *arrays(self.dists_for(ontology, tape, d, a, s)),
                                     ontology)
         triple = entry.triple
         assert triple == ("attraction", "inform", "area")
@@ -198,7 +203,7 @@ class TestAssemble:
         d = np.full(len(ontology.domains), 0.5)
         a = np.zeros(len(ontology.acts)); a[0] = 1.0
         s = np.zeros(len(ontology.slots)); s[0] = 1.0
-        entry = resolve_placeholder(0, *self.dists_for(ontology, tape, d, a, s).as_arrays(),
+        entry = resolve_placeholder(0, *arrays(self.dists_for(ontology, tape, d, a, s)),
                                     ontology)
         assert entry.triple[0] == ontology.domains[0]
 
@@ -207,7 +212,7 @@ class TestAssemble:
         d = np.zeros(len(ontology.domains)); d[0] = 0.75; d[1] = 0.25
         a = np.zeros(len(ontology.acts)); a[0] = 1.0
         s = np.zeros(len(ontology.slots)); s[0] = 1.0
-        entry = resolve_placeholder(0, *self.dists_for(ontology, tape, d, a, s).as_arrays(),
+        entry = resolve_placeholder(0, *arrays(self.dists_for(ontology, tape, d, a, s)),
                                     ontology)
         assert entry.domain_dist.tolist() == d.tolist()
         trace = AttentionTrace([entry])

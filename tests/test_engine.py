@@ -309,34 +309,28 @@ class TestBackward:
 
 
 class TestParamBinding:
-    def test_stacked_leaf_splits_gradient_per_name(self):
+    def test_one_leaf_per_name_collects_its_gradient(self):
         rng = np.random.default_rng(6)
-        params = {"a": rng.normal(size=(2, 3)), "b": rng.normal(size=(1, 3)),
-                  "a.b": rng.normal(size=2), "b.b": rng.normal(size=1)}
+        params = {"w": rng.normal(size=(3, 3)), "w.b": rng.normal(size=3),
+                  "unused": rng.normal(size=2)}
         x = rng.normal(size=3)
         t = Tape()
         binding = ParamBinding(t, params)
-        w = binding.stacked(("a", "b"))
-        bias = binding.stacked(("a.b", "b.b"))
-        assert binding.stacked(("a", "b")) is w
-        assert w.value.tolist() == np.vstack([params["a"], params["b"]]).tolist()
+        w, bias = binding["w"], binding["w.b"]
+        assert binding["w"] is w and w.param == "w"
+        assert w.value is params["w"]
         weights = rng.normal(size=3)
         z = local_add(t, local_matmul(t, w, t.leaf(x)), bias)
         t.backward(local_sum(t, local_mul(t, z, t.leaf(weights))))
         grads = t.param_grads(params)
-        assert np.array_equal(grads["a"], np.outer(weights[:2], x))
-        assert np.array_equal(grads["b"], np.outer(weights[2:], x))
-        assert grads["a.b"].tolist() == weights[:2].tolist()
-        assert grads["b.b"].tolist() == weights[2:].tolist()
-        # With ``out`` the blocks accumulate in place.
-        again = t.param_grads(params, out=grads)
-        assert again is grads
-        assert np.array_equal(grads["b"], 2 * np.outer(weights[2:], x))
+        assert np.array_equal(grads["w"], np.outer(weights, x))
+        assert grads["w.b"].tolist() == weights.tolist()
+        assert grads["unused"].tolist() == [0.0, 0.0]
 
     def test_unknown_parameter_rejected(self):
         t = Tape()
-        binding = ParamBinding(t, {"a": np.ones(2), "b": np.ones(1)})
-        t.backward(local_sum(t, binding.stacked(("a", "b"))))
+        binding = ParamBinding(t, {"a": np.ones(2), "b": np.ones(2)})
+        t.backward(local_sum(t, local_add(t, binding["a"], binding["b"])))
         with pytest.raises(ContractError, match="'b'"):
             t.param_grads({"a": np.ones(2)})
 

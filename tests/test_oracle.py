@@ -24,14 +24,17 @@ from oracle import generation as ref_generation
 from oracle import training as ref_training
 from oracle import tree as ref_tree
 from test_acceptance import random_sr
+from test_decoder import arrays
 from test_generation import zeroed_model
 from treenlg import generation
-from treenlg.decoder import DecoderState, attend, make_feedback_input, step
+from treenlg.decoder import GATES as DECODER_GATES
+from treenlg.decoder import STATE_GATES, DecoderState, attend, make_feedback_input, step
 from treenlg.engine import ParamBinding, Tape
 from treenlg.model import MODES, Model, PreparedExample, Vocabulary, prepare_example
 from treenlg.semantics import REQUEST, Example
 from treenlg.training import TrainConfig, teacher_forced, teacher_forced_batch
-from treenlg.tree import build_tree, encode, encode_batch
+from treenlg.tree import GATES as TREE_GATES
+from treenlg.tree import build_tree, encode, encode_batch, init_flat_params
 
 TOL = 1e-12
 NEAR_TIE = 1e-9
@@ -49,10 +52,49 @@ def weighted_sum(tape, nodes, weights):
     return tape.op(value, tuple(nodes), lambda g: tuple(g * w for w in weights))
 
 
+# The stacks whose rows the reference code holds as one tensor per gate, and
+# those gates in row order.
+STACKS = {"enc.e": TREE_GATES, "enc.h": TREE_GATES, "enc.b": TREE_GATES,
+          "dec.x": DECODER_GATES, "dec.h": DECODER_GATES, "dec.b": DECODER_GATES,
+          "dec.s": STATE_GATES}
+
+
+def per_gate(tensors):
+    """Each gate stack of a parameter or gradient dict as views of its
+    per-gate blocks, under the reference code's names (``enc.i.e``,
+    ``dec.r.s``, ...); other tensors as they are."""
+    out = {}
+    for name, value in tensors.items():
+        gates = STACKS.get(name)
+        if gates is None:
+            out[name] = value
+            continue
+        prefix, kind = name.split(".")
+        rows = len(value) // len(gates)
+        for k, gate in enumerate(gates):
+            out[f"{prefix}.{gate}.{kind}"] = value[k * rows:(k + 1) * rows]
+    return out
+
+
+def reference(model):
+    """The model as the reference code sees it: its parameters as per-gate
+    views, so both sides read the same values."""
+    return Model(model.mode, model.hidden, model.ontology, model.vocab, per_gate(model.params))
+
+
+def compare_grads(ref_grads, new_grads, where):
+    """Reference gradients (per gate) against the package's (per stack)."""
+    new_grads = per_gate(new_grads)
+    assert ref_grads.keys() == new_grads.keys(), where
+    for name, g in ref_grads.items():
+        assert rel_err(g, new_grads[name]) <= TOL, (where, name)
+
+
 def sides(model):
     """(tape, binding, encode_sr, attend) of the reference, then of the package."""
     ref_tape, new_tape = ref_engine.Tape(), Tape()
-    return ((ref_tape, ref_engine.ParamBinding(ref_tape, model.params), ref_tree.encode_sr,
+    return ((ref_tape, ref_engine.ParamBinding(ref_tape, per_gate(model.params)),
+             ref_tree.encode_sr,
              ref_decoder.attend),
             (new_tape, ParamBinding(new_tape, model.params), Model.encode_sr, attend))
 
@@ -82,6 +124,39 @@ def cases(synth_default):
     return out
 
 
+def reference_encoder_params(ontology, hidden, rng, scale):
+    """The tree encoder's initial tensors drawn one gate at a time, under the
+    reference code's names."""
+    params = {"enc.emb": rng.uniform(-scale, scale,
+                                     size=(len(ontology.embedding_tokens()), hidden))}
+    for gate in TREE_GATES:
+        params[f"enc.{gate}.e"] = rng.uniform(-scale, scale, size=(hidden, hidden))
+        params[f"enc.{gate}.h"] = rng.uniform(-scale, scale, size=(hidden, hidden))
+        params[f"enc.{gate}.b"] = np.zeros(hidden)
+    return params
+
+
+class TestInit:
+    def test_stacks_hold_the_per_gate_draws(self, synth_default):
+        """Every mode's initial stacks are the reference's per-gate tensors,
+        drawn in the same order from the same rng, one under the other."""
+        _, ontology = synth_default
+        vocab = Vocabulary.build([["a", "b", "@"]], placeholder_only=True)
+        for mode in MODES:
+            for hidden in (3, 8):
+                rng_new, rng_ref = np.random.default_rng(hidden), np.random.default_rng(hidden)
+                model = Model.create(mode, ontology, vocab, hidden, rng_new, 0.3)
+                ref = (reference_encoder_params(ontology, hidden, rng_ref, 0.3)
+                       if model.uses_tree else init_flat_params(ontology, hidden, rng_ref, 0.3))
+                ref.update(ref_decoder.init_decoder_params(
+                    len(vocab), hidden, ontology.feedback_size, rng_ref, 0.3))
+                assert rng_new.random() == rng_ref.random(), (mode, hidden)
+                blocks = per_gate(model.params)
+                assert blocks.keys() == ref.keys(), (mode, hidden)
+                for name, value in ref.items():
+                    assert np.array_equal(blocks[name], value), (mode, hidden, name)
+
+
 class TestTeacherForced:
     @pytest.mark.parametrize("dropout", [0.0, 0.25])
     def test_loss_nll_and_gradients_match(self, cases, dropout):
@@ -89,8 +164,8 @@ class TestTeacherForced:
             config = TrainConfig(mode=mode, hidden=hidden, dropout=dropout)
             for n, prep in enumerate(preps):
                 rng_ref, rng_new = np.random.default_rng(n), np.random.default_rng(n)
-                ref = ref_training.teacher_forced(model, prep, config, training=True,
-                                                  rng=rng_ref)
+                ref = ref_training.teacher_forced(reference(model), prep, config,
+                                                  training=True, rng=rng_ref)
                 new = teacher_forced(model, prep, config, training=True, rng=rng_new)
                 where = f"{mode} hidden {hidden} example {n} dropout {dropout}"
                 assert rel_err(ref.loss.value, new.loss.value) <= TOL, where
@@ -99,10 +174,8 @@ class TestTeacherForced:
                 assert rng_ref.random() == rng_new.random(), where
                 ref.tape.backward(ref.loss)
                 new.tape.backward(new.loss)
-                ref_grads = ref.tape.param_grads(model.params)
-                new_grads = new.tape.param_grads(model.params)
-                for name in model.params:
-                    assert rel_err(ref_grads[name], new_grads[name]) <= TOL, (where, name)
+                compare_grads(ref.tape.param_grads(per_gate(model.params)),
+                              new.tape.param_grads(model.params), where)
 
 
 class TestEncoder:
@@ -114,9 +187,9 @@ class TestEncoder:
             rng = np.random.default_rng(hidden)
             for n, sr in enumerate(srs):
                 where = f"{mode} hidden {hidden} sr {n}"
-                encoded = [(tape, encode_sr(model, sr, binding))
+                encoded = [(tape, binding, encode_sr(model, sr, binding))
                            for tape, binding, encode_sr, _ in sides(model)]
-                (_, ref), (_, new) = encoded
+                (_, _, ref), (_, _, new) = encoded
                 assert sorted(ref.node_states) == sorted(new.node_states), where
                 for i, (h, c) in ref.node_states.items():
                     assert rel_err(h.value, new.node_states[i][0].value) <= TOL, (where, i)
@@ -127,16 +200,15 @@ class TestEncoder:
                                     for label in sorted(states)], where
                 outputs = [[enc.embedding] + [enc.layer_states[layer][label]
                                               for layer, label in labelled]
-                           for _, enc in encoded]
+                           for _, _, enc in encoded]
                 for a, b in zip(*outputs):
                     assert rel_err(a.value, b.value) <= TOL, where
                 weights = [rng.normal(size=hidden) for _ in outputs[0]]
                 grads = []
-                for (tape, _), nodes in zip(encoded, outputs):
+                for (tape, binding, _), nodes in zip(encoded, outputs):
                     tape.backward(weighted_sum(tape, nodes, weights))
-                    grads.append(tape.param_grads(model.params))
-                for name in model.params:
-                    assert rel_err(grads[0][name], grads[1][name]) <= TOL, (where, name)
+                    grads.append(tape.param_grads(binding.params))
+                compare_grads(*grads, where)
 
 
 class TestKernels:
@@ -158,14 +230,13 @@ class TestKernels:
                         weights = [rng.normal(size=n.shape) for n in layers]
                     loss = weighted_sum(tape, layers, weights)
                     tape.backward(loss)
-                    outputs.append((dists, s_node.grad, tape.param_grads(model.params)))
+                    outputs.append((dists, s_node.grad, tape.param_grads(binding.params)))
                 (ref, ref_ds, ref_grads), (new, new_ds, new_grads) = outputs
-                for a, b in zip(ref.as_arrays(), new.as_arrays()):
+                for a, b in zip(arrays(ref), arrays(new)):
                     assert rel_err(a, b) <= TOL
                     assert np.array_equal(a == 0.0, b == 0.0)
                 assert rel_err(ref_ds, new_ds) <= TOL
-                for name in model.params:
-                    assert rel_err(ref_grads[name], new_grads[name]) <= TOL, name
+                compare_grads(ref_grads, new_grads, f"{mode} hidden {hidden}")
 
     def test_stacked_step_rows_match_single_steps(self, cases):
         for mode, hidden, model, _, srs in cases:
@@ -189,7 +260,7 @@ class TestKernels:
                 dists = attend(stacked.s, encoded, model.ontology)
                 for j in range(k):
                     one = attend(tape.leaf(stacked.s.value[j]), encoded, model.ontology)
-                    for a, b in zip(one.as_arrays(), (dists.domain.value[j], dists.act.value[j],
+                    for a, b in zip(arrays(one), (dists.domain.value[j], dists.act.value[j],
                                                       dists.slot.value[j])):
                         assert rel_err(a, b) <= TOL
 
@@ -221,13 +292,12 @@ class TestKernels:
                     nodes += [dists.domain, dists.act, dists.slot]
                     w += [np.ones(n.shape) for n in nodes[1:]]
                 tape.backward(weighted_sum(tape, nodes, w))
-                return tape.param_grads(model.params)
+                return per_gate(tape.param_grads(model.params))
 
-            stacked = grads(slice(None))
+            together = grads(slice(None))
             single = [grads(j) for j in range(k)]
-            for name in model.params:
-                assert rel_err(stacked[name], sum(g[name] for g in single)) <= TOL, \
-                    (mode, hidden, name)
+            for name, g in together.items():
+                assert rel_err(g, sum(one[name] for one in single)) <= TOL, (mode, hidden, name)
 
 
 def mixed_batch(mode, ontology, srs, rng) -> list[PreparedExample]:
@@ -274,12 +344,14 @@ class TestMinibatch:
             config = TrainConfig(mode=mode, hidden=hidden, dropout=dropout)
             rng_ref, rng_new = np.random.default_rng(size), np.random.default_rng(size)
             loss = nll = 0.0
-            ref_grads = {name: np.zeros_like(v) for name, v in model.params.items()}
+            ref_model = reference(model)
+            ref_grads = {name: np.zeros_like(v) for name, v in ref_model.params.items()}
             for prep in batch:
-                ref = ref_training.teacher_forced(model, prep, config, training=True,
+                ref = ref_training.teacher_forced(ref_model, prep, config, training=True,
                                                   rng=rng_ref)
                 ref.tape.backward(ref.loss)
-                ref.tape.param_grads(model.params, out=ref_grads)
+                for name, g in ref.tape.param_grads(ref_model.params).items():
+                    ref_grads[name] += g
                 loss += float(ref.loss.value)
                 nll += float(ref.nll.value)
             new = teacher_forced_batch(model, batch, config, training=True, rng=rng_new)
@@ -288,9 +360,7 @@ class TestMinibatch:
             assert rel_err(nll, new.nll.value) <= TOL, where
             assert rng_ref.random() == rng_new.random(), where
             new.tape.backward(new.loss)
-            new_grads = new.tape.param_grads(model.params)
-            for name in model.params:
-                assert rel_err(ref_grads[name], new_grads[name]) <= TOL, (where, name)
+            compare_grads(ref_grads, new.tape.param_grads(model.params), where)
 
     def test_node_states_do_not_depend_on_the_batch(self, batch_cases):
         for mode, hidden, model, preps in batch_cases:
@@ -334,7 +404,8 @@ class TestSearch:
     def test_greedy_matches_reference(self, cases):
         for mode, hidden, model, _, srs in cases:
             for n, sr in enumerate(srs):
-                assert_same_search(ref_generation.greedy_decode(model, sr, max_length=30),
+                assert_same_search(ref_generation.greedy_decode(reference(model), sr,
+                                                                max_length=30),
                                    generation.greedy_decode(model, sr, max_length=30),
                                    f"greedy {mode} hidden {hidden} sr {n}")
 
@@ -342,7 +413,8 @@ class TestSearch:
         for mode, hidden, model, _, srs in cases:
             for n, sr in enumerate(srs):
                 assert_same_search(
-                    ref_generation.beam_decode(model, sr, beam_size=10, max_length=30),
+                    ref_generation.beam_decode(reference(model), sr, beam_size=10,
+                                               max_length=30),
                     generation.beam_decode(model, sr, beam_size=10, max_length=30),
                     f"beam 10 {mode} hidden {hidden} sr {n}")
 
@@ -375,6 +447,6 @@ class TestSearch:
         monkeypatch.setattr(ref_generation, "step", counting_ref_step)
         rows_per_call.clear()
         generation.beam_decode(model, srs[1], beam_size=10, max_length=30)
-        ref_generation.beam_decode(model, srs[1], beam_size=10, max_length=30)
+        ref_generation.beam_decode(reference(model), srs[1], beam_size=10, max_length=30)
         assert sum(rows_per_call) == len(ref_calls)
         assert len(rows_per_call) <= 30

@@ -67,7 +67,7 @@ class TestOntology:
         path = tmp_path / "taxi.json"
         path.write_text(json.dumps(schema))
         ont = load_ontology(path)
-        assert len(ont.acts_of("taxi")) == 2
+        assert len(ont.schema["taxi"]) == 2
         assert len(ont.slots) == 6
 
     def test_unknown_property_rejected(self, tmp_path):

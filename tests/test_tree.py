@@ -22,6 +22,35 @@ from treenlg.tree import (
 )
 
 
+def leaves(tree):
+    return [i for i, n in enumerate(tree.nodes) if not n.children]
+
+
+def depth(tree, i):
+    d = 0
+    while tree.nodes[i].parent is not None:
+        i = tree.nodes[i].parent
+        d += 1
+    return d
+
+
+def check_depths(tree):
+    """Every activated leaf sits at depth 4 (root, domain, act, slot, property)."""
+    assert [depth(tree, i) for i in leaves(tree)] == [4] * len(leaves(tree))
+
+
+def to_entries(tree):
+    """The SR's (domain, act, slot) structure, read back from the tree."""
+    out = set()
+    for i in leaves(tree):
+        slot_node = tree.nodes[tree.nodes[i].parent]
+        act_node = tree.nodes[slot_node.parent]
+        domain_node = tree.nodes[act_node.parent]
+        slot = None if slot_node.token == NO_SLOT_TOKEN else slot_node.token
+        out.add((domain_node.token, act_node.token, slot))
+    return out
+
+
 def token_index_of(ontology):
     return {tok: i for i, tok in enumerate(ontology.embedding_tokens())}
 
@@ -65,7 +94,7 @@ class TestBuildTree:
         for n in tree.nodes:
             by_layer[n.layer] = by_layer.get(n.layer, 0) + 1
         assert by_layer == {"root": 1, "domain": 1, "act": 2, "slot": 4, "property": 4}
-        tree.check_depths()
+        check_depths(tree)
 
     def test_reconstruction_matches_sr(self, ontology):
         sr = sr_of(ontology,
@@ -74,14 +103,14 @@ class TestBuildTree:
                    ("restaurant", "reqmore", None, None))
         tree = build_tree(sr, ontology)
         expected = {(e.domain, e.act, e.slot) for e in sr}
-        assert tree.to_entries() == expected
+        assert to_entries(tree) == expected
 
     def test_bare_act_gets_noslot_path(self, ontology):
         sr = sr_of(ontology, ("restaurant", "reqmore", None, None))
         tree = build_tree(sr, ontology)
         tokens = [n.token for n in tree.nodes]
         assert NO_SLOT_TOKEN in tokens and NO_SLOT_PROPERTY in tokens
-        tree.check_depths()
+        check_depths(tree)
 
     def test_repeated_triple_single_slot_node(self, tmp_path):
         ont = Ontology({"hotel": {"select": {"type": "informable"}}})
@@ -134,10 +163,9 @@ class TestEncode:
         params = {"enc.emb": emb}
         mats = {"i": (0.4, 0.6, 0.05), "f": (-0.3, 0.2, 0.0),
                 "o": (0.7, -0.5, 0.1), "g": (0.9, 0.4, -0.2)}
-        for gate, (w, u, b) in mats.items():
-            params[f"enc.{gate}.e"] = np.array([[w]])
-            params[f"enc.{gate}.h"] = np.array([[u]])
-            params[f"enc.{gate}.b"] = np.array([b])
+        # One row per gate of each stack, in i, f, o, g order.
+        w, u, b = np.array(list(mats.values())).T
+        params["enc.e"], params["enc.h"], params["enc.b"] = w[:, None], u[:, None], b
 
         sig = lambda z: 1.0 / (1.0 + math.exp(-z))
         h_prev = c_prev = None
@@ -215,7 +243,7 @@ class TestEncode:
         grads = tape.param_grads(params)
 
         h = 1e-5
-        for name in ("enc.emb", "enc.i.e", "enc.g.h", "enc.o.b"):
+        for name in ("enc.emb", "enc.e", "enc.h", "enc.b"):
             theta = params[name]
             flat = theta.reshape(-1)
             gflat = grads[name].reshape(-1)
@@ -255,6 +283,5 @@ class TestFlatBaseline:
         assert int(np.sum(np.abs(x1 - x2))) == 1
 
     def test_indicator_length(self, ontology):
-        total = sum(len(ontology.slots_of(d, a))
-                    for d in ontology.domains for a in ontology.acts_of(d))
+        total = sum(len(slots) for acts in ontology.schema.values() for slots in acts.values())
         assert triple_indicator(SemanticRepresentation([], ontology), ontology).size == total
