@@ -15,10 +15,10 @@ into the next step's input as a record of what was just generated.
 ``make_feedback_input``, ``step`` and ``attend`` are the only definition of
 this math, for training and decoding alike.  Each computes its forward pass
 in numpy over one row ([n] inputs) or a stack of K rows ([K, n]): the
-hypotheses of a beam, or the sentences of a training minibatch, on a
-recording tape as on a non-recording one.  Each registers a few fused ops
-with closed-form adjoints instead of one op per gate; a weight's adjoint is
-one Δᵀ·X product over the rows.
+hypotheses of a beam, or the live sentences of a training minibatch.  They
+are forward-only: they register no op and refuse a recording tape.  Their
+one adjoint is the teacher-forced decoder op in ``training``, which runs
+them over a whole minibatch and back-propagates through time in reverse.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from .engine import (
     Tape,
     init_uniform,
     logistic,
-    slice_last,
     softmax_last,
     take_rows,
 )
@@ -79,22 +78,34 @@ def init_decoder_params(vocab_size: int, hidden: int, feedback_size: int,
 @dataclass
 class DecoderState:
     """Hidden state, memory cell and semantic state, all hidden-width: [H]
-    for one hypothesis, [K, H] for a stack of K."""
+    for one hypothesis, [K, H] for a stack of K.  A state that ``step`` made
+    also holds that step's activations (i, f, o, g, r, w, d, tanh c, tanh s),
+    which the teacher-forced decoder's adjoint reads."""
 
     h: Node
     c: Node
     s: Node
+    acts: tuple[np.ndarray, ...] | None = None
 
     def take(self, tape: Tape, rows) -> "DecoderState":
-        """The given rows of the state, as one stack of views on ``tape``; a
-        one-hypothesis state counts as a stack of one.  A row may repeat
-        only on a non-recording tape."""
+        """The given rows of the state, as one stack; a one-hypothesis state
+        counts as a stack of one, and a row may repeat (a beam keeps several
+        children of one parent)."""
         return DecoderState(*(take_rows(tape, n, rows) for n in (self.h, self.c, self.s)))
 
 
 def initial_state(encoded: EncodedTree, hidden: int, binding: ParamBinding) -> DecoderState:
     zeros = binding.tape.leaf(np.zeros(encoded.embedding.shape[:-1] + (hidden,)))
     return DecoderState(h=zeros, c=zeros, s=encoded.embedding)
+
+
+def _forward_only(tape: Tape) -> Tape:
+    """The kernels register no op, so on a recording tape their gradients
+    would go missing without a trace; the teacher-forced decoder op in
+    ``training`` holds their adjoint."""
+    if tape.recording:
+        raise ContractError("decoder kernels run forward only, on a non-recording tape")
+    return tape
 
 
 def _check_stack(*values: np.ndarray) -> None:
@@ -105,86 +116,41 @@ def _check_stack(*values: np.ndarray) -> None:
                                  f"{[u.shape for u in values]}")
 
 
-def _rows_t(d: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Σ_k outer(d[k], x[k]) as one product (Δᵀ·X); one row is a stack of one."""
-    return d.reshape(-1, d.shape[-1]).T @ x.reshape(-1, x.shape[-1])
-
-
-def _row_sum(d: np.ndarray) -> np.ndarray:
-    return d.reshape(-1, d.shape[-1]).sum(axis=0)
-
-
 def step(binding: ParamBinding, x: Node, state: DecoderState,
          mask: np.ndarray | None = None) -> tuple[DecoderState, Node]:
     """One decoder step for one row ([H] inputs) or for a stack of them
     ([K, H]): returns the new state and the word distribution(s).  ``mask``
     is the step output's inverted-dropout mask, if any.
 
-    Two fused ops carry it.  The cell op computes all seven gates (one
-    product with each gate stack for the input and hidden paths, a third
-    against the previous semantic state for the reading, writing and
-    semantic-update gates), the memory cell, the semantic state and the
-    hidden state, and holds them packed as [h | c | s].  The output op applies dropout, the
-    vocabulary projection and the softmax."""
-    tape = binding.tape
-    wx, wh, ws, b = (binding[name] for name in ("dec.x", "dec.h", "dec.s", "dec.b"))
-    hidden = wh.shape[1]
-    _check_stack(x.value, state.h.value, state.c.value, state.s.value)
-    if x.shape[-1] != wx.shape[1] or any(n.shape[-1] != hidden
-                                         for n in (state.h, state.c, state.s)):
-        raise DimensionError(f"decoder step expects input width {wx.shape[1]} and state "
-                             f"width {hidden}, got {x.shape} and {state.h.shape}")
-    packed = _cell(tape, x, state, wx, wh, ws, b, hidden)
-    h, c, s = (slice_last(tape, packed, k * hidden, (k + 1) * hidden) for k in range(3))
-    return DecoderState(h=h, c=c, s=s), _output(tape, binding["dec.out.w"], h, mask)
-
-
-def _cell(tape: Tape, x: Node, state: DecoderState, wx: Node, wh: Node, ws: Node,
-          b: Node, hidden: int) -> Node:
-    H = hidden
+    All seven gates come from one product with each gate stack for the input
+    and hidden paths, and a third against the previous semantic state for
+    the reading, writing and semantic-update gates.  Then the memory cell,
+    the semantic state, the hidden state, dropout, the vocabulary projection
+    and the softmax."""
+    tape = _forward_only(binding.tape)
+    wx, wh, ws, b = (binding[name].value for name in ("dec.x", "dec.h", "dec.s", "dec.b"))
+    H = wh.shape[1]
     x_v, h_v, c_v, s_v = x.value, state.h.value, state.c.value, state.s.value
-    z = x_v @ wx.value.T + h_v @ wh.value.T + b.value
+    _check_stack(x_v, h_v, c_v, s_v)
+    if x_v.shape[-1] != wx.shape[1] or any(v.shape[-1] != H for v in (h_v, c_v, s_v)):
+        raise DimensionError(f"decoder step expects input width {wx.shape[1]} and state "
+                             f"width {H}, got {x_v.shape} and {h_v.shape}")
+    z = x_v @ wx.T + h_v @ wh.T + b
     ifo = logistic(z[..., :3 * H])
     i, f, o = ifo[..., :H], ifo[..., H:2 * H], ifo[..., 2 * H:]
     g = np.tanh(z[..., 3 * H:4 * H])
     c = i * g + f * c_v
-    z_state = z[..., 4 * H:] + s_v @ ws.value.T
+    z_state = z[..., 4 * H:] + s_v @ ws.T
     rw = logistic(z_state[..., :2 * H])
     r, w = rw[..., :H], rw[..., H:]
     d = np.tanh(z_state[..., 2 * H:])
     s = w * d + r * s_v
     tc, ts = np.tanh(c), np.tanh(s)
     h = o * tc + (1.0 - o) * ts
-
-    def vjp(grad: np.ndarray):
-        gh, gc, gs = grad[..., :H], grad[..., H:2 * H], grad[..., 2 * H:]
-        dc = gc + gh * o * (1.0 - tc * tc)
-        ds = gs + gh * (1.0 - o) * (1.0 - ts * ts)
-        dz = np.concatenate([dc * g * i * (1.0 - i),
-                             dc * c_v * f * (1.0 - f),
-                             gh * (tc - ts) * o * (1.0 - o),
-                             dc * i * (1.0 - g * g),
-                             ds * s_v * r * (1.0 - r),
-                             ds * d * w * (1.0 - w),
-                             ds * w * (1.0 - d * d)], axis=-1)
-        dz_state = dz[..., 4 * H:]
-        return (dz @ wx.value, dz @ wh.value, dc * f, ds * r + dz_state @ ws.value,
-                _rows_t(dz, x_v), _rows_t(dz, h_v), _rows_t(dz_state, s_v), _row_sum(dz))
-
-    return tape.op(np.concatenate([h, c, s], axis=-1),
-                   (x, state.h, state.c, state.s, wx, wh, ws, b), vjp)
-
-
-def _output(tape: Tape, w_out: Node, h: Node, mask: np.ndarray | None) -> Node:
-    h_out = h.value if mask is None else h.value * mask
-    probs = softmax_last(h_out @ w_out.value.T)
-
-    def vjp(grad: np.ndarray):
-        d_logits = probs * (grad - np.sum(grad * probs, axis=-1, keepdims=True))
-        d_h = d_logits @ w_out.value
-        return _rows_t(d_logits, h_out), (d_h if mask is None else d_h * mask)
-
-    return tape.op(probs, (w_out, h), vjp)
+    h_out = h if mask is None else h * mask
+    probs = softmax_last(h_out @ binding["dec.out.w"].value.T)
+    return (DecoderState(tape.leaf(h), tape.leaf(c), tape.leaf(s), (i, f, o, g, r, w, d, tc, ts)),
+            tape.leaf(probs))
 
 
 @dataclass
@@ -207,10 +173,10 @@ def attend(s: Node, encoded: EncodedTree, ontology: Ontology,
 
     ``s`` is one state ([H]) or a stack ([K, H]); row k attends to tree
     ``trees[k]`` of ``encoded``, or, with ``trees`` None, to its only tree.
-    One fused op per layer, on the tape of ``encoded`` (which must hold
-    ``s``): the scores are one product with the layer's [labels, H] label
-    states, and each row's softmax over its tree's labels is scattered to
-    the layer's canonical label positions."""
+    Per layer, the scores are one product with the layer's [labels, H]
+    label states, and each row's softmax over its tree's labels is
+    scattered to the layer's canonical label positions."""
+    tape = _forward_only(encoded.tape)
     _check_stack(s.value)
     n_rows = 1 if s.value.ndim == 1 else s.shape[0]
     which = np.zeros(n_rows, dtype=np.intp) if trees is None else np.asarray(trees, np.intp)
@@ -221,32 +187,24 @@ def attend(s: Node, encoded: EncodedTree, ontology: Ontology,
         states = encoded.labels.get(layer)
         if states is None or not np.all(states.counts[which]):
             raise ContractError(f"no activated {layer} nodes to attend over")
-        out[layer] = _layer_attention(encoded.tape, s, states, which,
-                                      len(getattr(ontology, _LAYER_SIZE[layer])))
+        size = len(getattr(ontology, _LAYER_SIZE[layer]))
+        out[layer] = tape.leaf(_layer_attention(s.value, states, which, size))
     return AttentionDists(out["domain"], out["act"], out["slot"])
 
 
-def _layer_attention(tape: Tape, s: Node, states: LabelStates, which: np.ndarray,
-                     size: int) -> Node:
+def _layer_attention(s: np.ndarray, states: LabelStates, which: np.ndarray,
+                     size: int) -> np.ndarray:
     m = states.matrix.value
     if m.shape[1:] != s.shape[-1:]:
         raise DimensionError(f"attention state width {s.shape} vs label states {m.shape}")
-    s2 = s.value.reshape(-1, s.shape[-1])
     # Each row scores every label row and masks out other trees' labels.
-    scores = np.where(states.owner == which[:, None], s2 @ m.T, -np.inf)
+    scores = np.where(states.owner == which[:, None], s.reshape(-1, s.shape[-1]) @ m.T, -np.inf)
     probs = softmax_last(scores)
     # Scatter to canonical positions; a row's masked-out labels hold exact
     # zeros, so each output is one probability plus zeros.
     onehot = np.zeros((len(m), size))
     onehot[np.arange(len(m)), states.index] = 1.0
-    value = probs @ onehot
-
-    def vjp(grad: np.ndarray):
-        gp = grad.reshape(-1, size) @ onehot.T
-        d_scores = probs * (gp - np.sum(gp * probs, axis=1, keepdims=True))
-        return (d_scores @ m).reshape(s.shape), d_scores.T @ s2
-
-    return tape.op(value.reshape(s.shape[:-1] + (size,)), (s, states.matrix), vjp)
+    return (probs @ onehot).reshape(s.shape[:-1] + (size,))
 
 
 @dataclass
@@ -322,36 +280,23 @@ def make_feedback_input(word_id, dists: AttentionDists | None,
     ``word_id`` is one id, or an array of K ids for a stack of rows; then
     ``dists`` holds the distributions of the rows listed in ``rows`` (all
     rows if None), and the other rows get zeros.  ``mask`` is the word
-    embedding's inverted-dropout mask, if any.  One fused op: the embedding
-    lookup, its dropout and the concatenation."""
-    emb = binding["dec.emb"]
+    embedding's inverted-dropout mask, if any."""
+    tape = _forward_only(binding.tape)
+    emb = binding["dec.emb"].value
     ids = np.asarray(word_id, dtype=np.intp)
     if ids.size and not (0 <= ids.min() and ids.max() < emb.shape[0]):
         raise ContractError(f"word id out of range for a vocabulary of {emb.shape[0]}")
-    word = emb.value[ids]
+    word = emb[ids]
     if mask is not None:
         word = word * mask
-    hidden = word.shape[-1]
     feedback = np.zeros(word.shape[:-1] + (feedback_size,))
-    parts = () if dists is None else (dists.domain, dists.act, dists.slot)
-    at = Ellipsis if rows is None else rows
-    if parts:
-        _check_stack(*(p.value for p in parts))
-        block = np.concatenate([p.value for p in parts], axis=-1)
+    if dists is not None:
+        parts = [p.value for p in (dists.domain, dists.act, dists.slot)]
+        _check_stack(*parts)
+        block = np.concatenate(parts, axis=-1)
+        at = Ellipsis if rows is None else rows
         if block.shape != feedback[at].shape:
             raise DimensionError(f"feedback block of shape {block.shape} for rows of "
                                  f"shape {feedback[at].shape}")
         feedback[at] = block
-
-    def vjp(grad: np.ndarray):
-        d_word = grad[..., :hidden] if mask is None else grad[..., :hidden] * mask
-        d_emb = np.zeros_like(emb.value)
-        np.add.at(d_emb, ids, d_word)
-        d_block = grad[..., hidden:][at]
-        grads, offset = [d_emb], 0
-        for p in parts:
-            grads.append(d_block[..., offset:offset + p.shape[-1]])
-            offset += p.shape[-1]
-        return tuple(grads)
-
-    return binding.tape.op(np.concatenate([word, feedback], axis=-1), (emb, *parts), vjp)
+    return tape.leaf(np.concatenate([word, feedback], axis=-1))

@@ -2,19 +2,20 @@
 finite-difference gradient checker.
 
 A :class:`Tape` records one forward pass as :class:`Node` entries: parameter
-and input leaves, and the results of the fused ops that the encoder, decoder
-and loss kernels register through ``Tape.op``, each with a closed-form
-adjoint.  Nodes are appended in forward order, so the node list is already
+and input leaves, and the results of the fused ops that the encoder and
+the teacher-forced decoder register through ``Tape.op``, each with a
+closed-form adjoint.  Nodes are appended in forward order, so the node list is already
 a topological order and ``backward`` is a single reverse sweep.  Nodes do
 not refer to their tape: kernels take it from their ``ParamBinding``, and a
 finished tape is freed by reference counting.  All data is 64-bit; a leaf or
 op value with NaN/Inf is rejected when it is registered, so a blow-up is
 caught in the kernel that made it.
 
-A kernel's inputs may be one row ([n]) or a stack of K rows ([K, n]), on a
-recording tape as on a non-recording one: one tape holds a whole
-minibatch.  The adjoint of a weight shared by the rows is the sum of the
-per-row adjoints, formed as one matrix product (Δᵀ·X) over the stack.
+An op's inputs may be one row ([n]) or a stack of K rows ([K, n]): one
+tape holds a whole minibatch, as a chain of ops whose length does not
+depend on the sentences' lengths.  The adjoint of a weight shared by the
+rows is the sum of the per-row adjoints, formed as one matrix product
+(Δᵀ·X) over the stack.
 """
 
 from __future__ import annotations

@@ -9,6 +9,12 @@ The search rule:
   of the log probabilities, so ties go to the lowest token id.  An end token
   among them finishes that child at once instead of competing for a live
   slot.
+* In attention mode, when the SR's tree has no label in some attended
+  layer (a bare act has no slot, an empty SR not even a domain), there is
+  nothing to attend over, and the search never extends a hypothesis with
+  the placeholder: a placeholder among a parent's best tokens is dropped.
+  At beam size 1 the best other token takes its place, so greedy decoding
+  is the argmax over the tokens it may emit.
 * The other children are ordered globally by score (descending), then
   parent position, then token id, and the first ``beam_size`` stay live.
 * The search stops when no hypothesis is live, when ``max_length`` steps
@@ -155,6 +161,11 @@ def _search(model: Model, sr: SemanticRepresentation, beam_size: int,
     encoded = model.encode_sr(sr, binding)
     vocab, ontology = model.vocab, model.ontology
     placeholder_id = vocab.index.get(PLACEHOLDER) if model.uses_attention else None
+    # The token no child may emit, if any (-1: none).
+    banned = -1
+    if placeholder_id is not None and not all(states.counts.all()
+                                              for states in encoded.labels.values()):
+        banned = placeholder_id
     state = initial_state(encoded, model.hidden, binding).take(tape, [0])
     live = [Hypothesis((), 0.0)]
     finished: list[Hypothesis] = []
@@ -167,13 +178,16 @@ def _search(model: Model, sr: SemanticRepresentation, beam_size: int,
         logp = np.log(np.maximum(probs.value, 1e-300))
         scores = np.array([h.score for h in live])[:, None] + logp
         # Stable sort so ties go to the lowest token id, like argmax.
-        top = np.argsort(-logp, axis=1, kind="stable")[:, :beam_size]
+        top = np.argsort(-logp, axis=1, kind="stable")
+        if beam_size == 1 and banned >= 0:
+            top = top[top != banned].reshape(len(live), -1)
+        top = top[:, :beam_size]
         ends = top == vocab.eos_id
         for parent in np.nonzero(ends.any(axis=1))[0]:
             hyp = live[parent]
             finished.append(Hypothesis(hyp.token_ids, float(scores[parent, vocab.eos_id]),
                                        hyp.trace, finished=True))
-        parents, cols = np.nonzero(~ends)
+        parents, cols = np.nonzero(~ends & (top != banned))
         tokens = top[parents, cols]
         child_scores = scores[parents, tokens]
         chosen = np.lexsort((tokens, parents, -child_scores))[:beam_size]

@@ -17,31 +17,15 @@ import math
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, fields
+from contextlib import contextmanager, nullcontext
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable, Iterator
 
 import numpy as np
 
-from .decoder import (
-    AttentionDists,
-    PLACEHOLDER,
-    attend,
-    initial_state,
-    make_feedback_input,
-    step,
-)
-from .engine import (
-    Adam,
-    Node,
-    ParamBinding,
-    Tape,
-    clip_gradients,
-    dropout_mask,
-    global_norm,
-    take_rows,
-)
+from .decoder import PLACEHOLDER, DecoderState, attend, make_feedback_input, step
+from .engine import Adam, Node, ParamBinding, Tape, clip_gradients, dropout_mask, global_norm
 from .errors import ConfigError, ContractError, DomainError
 from .generation import DEFAULT_BEAM_SIZE, DEFAULT_MAX_LENGTH, greedy_decode
 from .metrics import bleu, corpus_ser, ser
@@ -60,6 +44,7 @@ from .model import (
     rng_stream,
 )
 from .semantics import Corpus, Example, Ontology, SemanticRepresentation, SrEntry, delexicalize
+from .tree import ATTENDED, EncodedTree, LabelStates
 
 # Accepted JSON value types per TrainConfig field annotation.
 _JSON_TYPES = {"int": int, "float": (int, float), "float | None": (int, float, type(None)),
@@ -126,79 +111,6 @@ class TrainConfig:
         return config
 
 
-def nll_loss(tape: Tape, dists: list[Node], targets: list) -> Node:
-    """Summed negative log-likelihood of the target ids as one fused op:
-    ``dists[t]`` is one distribution ([V]) or a stack of them ([K, V]), and
-    ``targets[t]`` its target id or its K ids."""
-    if len(dists) != len(targets):
-        raise ContractError(f"{len(dists)} distributions for {len(targets)} targets")
-    if not dists:
-        raise ContractError("empty sentence")
-    picks = []
-    for dist, target in zip(dists, targets):
-        cols = np.asarray(target, dtype=np.intp).reshape(-1)
-        picks.append((dist, np.arange(_rows_of(dist, cols.size)), cols))
-    return _neg_log_picks(tape, picks)
-
-
-def att_loss(tape: Tape, nll: Node,
-             supervised_steps: list[tuple[AttentionDists, np.ndarray | tuple[int, int, int]]]
-             ) -> Node:
-    """Plain objective plus the placeholder-step label penalties: the negative
-    log probability of the true domain, act and slot under each distribution,
-    as one fused op (``nll`` itself when no step is supervised).  Each step
-    pairs its distributions (one row or a stack of K) with the (domain, act,
-    slot) indices of each row, [3] or [K, 3]; a row of -1 is not
-    supervised."""
-    picks = []
-    for dists, labels in supervised_steps:
-        labels = np.asarray(labels, dtype=np.intp).reshape(-1, 3)
-        rows = np.nonzero(labels[:, 0] >= 0)[0]
-        _rows_of(dists.domain, len(labels))
-        for j, dist in enumerate((dists.domain, dists.act, dists.slot)):
-            picks.append((dist, rows, labels[rows, j]))
-    if not any(len(rows) for _, rows, _ in picks):
-        return nll
-    return _neg_log_picks(tape, picks, base=nll)
-
-
-def _rows_of(dist: Node, expected: int) -> int:
-    """The number of rows of a distribution stack, which must be ``expected``."""
-    rows = 1 if dist.value.ndim == 1 else dist.shape[0]
-    if rows != expected:
-        raise ContractError(f"{expected} targets for {rows} distribution rows")
-    return rows
-
-
-def _neg_log_picks(tape: Tape, picks: list[tuple[Node, np.ndarray, np.ndarray]],
-                   base: Node | None = None) -> Node:
-    """``base`` (if any) minus the summed log probabilities that each
-    distribution stack gives its (row, column) picks, as one op."""
-    probs = []
-    for dist, rows, cols in picks:
-        stack = dist.value.reshape(-1, dist.shape[-1])
-        if np.any((cols < 0) | (cols >= stack.shape[1])):
-            raise ContractError(f"index out of range for distributions of shape {dist.shape}")
-        probs.append(stack[rows, cols])
-    p = np.concatenate(probs)
-    if np.any(p <= 0.0):
-        raise DomainError("log of non-positive probability")
-    total = -np.sum(np.log(p))
-    if base is not None:
-        total = base.value + total
-
-    def vjp(g: np.ndarray):
-        grads = [] if base is None else [g]
-        for (dist, rows, cols), p_k in zip(picks, probs):
-            d = np.zeros(dist.value.reshape(-1, dist.shape[-1]).shape)
-            d[rows, cols] = -g / p_k
-            grads.append(d.reshape(dist.shape))
-        return tuple(grads)
-
-    parents = tuple(dist for dist, _, _ in picks)
-    return tape.op(total, parents if base is None else (base, *parents), vjp)
-
-
 @dataclass
 class Forward:
     """The training graph of a minibatch (or one sentence): ``loss`` and
@@ -221,7 +133,10 @@ def teacher_forced(model: Model, prep: PreparedExample, config: TrainConfig,
 def teacher_forced_batch(model: Model, preps: list[PreparedExample], config: TrainConfig,
                          training: bool, rng: np.random.Generator | None = None,
                          recording: bool = True) -> Forward:
-    """Build the training graph of a minibatch on one tape.
+    """Build the training graph of a minibatch on one tape: the encoder's
+    ops, then the whole decoder and both objectives as one op
+    (``_decoder_op``) whose value is [NLL, attention term].  ``Forward.nll``
+    is a view of the first entry and ``Forward.loss`` of their sum.
 
     The sentences run time-major, longest first (ties keep batch order), so
     the ones still running at step t are the first rows and each step
@@ -245,49 +160,174 @@ def teacher_forced_batch(model: Model, preps: list[PreparedExample], config: Tra
     # Row k of each [B, steps, ...] array is sentence order[k], zero-padded.
     target_ids = np.zeros((len(preps), steps), dtype=np.intp)
     dropout = None if masks[0] is None else np.zeros((len(preps), steps, 2, hidden))
+    placeholder = np.zeros((len(preps), steps), dtype=bool)
+    labels = np.full((len(preps), steps, 3), -1, dtype=np.intp)
     for k, b in enumerate(order):
         target_ids[k, :lengths[k]] = targets[b]
         if dropout is not None:
             dropout[k, :lengths[k]] = masks[b]
-    input_ids = np.concatenate([np.full((len(preps), 1), vocab.sos_id), target_ids[:, :-1]],
-                               axis=1)
-    if model.uses_attention:
-        placeholder = np.zeros((len(preps), steps), dtype=bool)
-        labels = np.full((len(preps), steps, 3), -1, dtype=np.intp)
-        for k, prep in enumerate(preps):
+        prep = preps[k]
+        if model.uses_attention:
             placeholder[k, :len(prep.tokens)] = [tok == PLACEHOLDER for tok in prep.tokens]
             if prep.attention_usable:
                 for t, (domain, act, slot) in prep.labels.items():
                     labels[k, t] = (ontology.domain_index(domain), ontology.act_index(act),
                                     ontology.slot_index(slot))
+    input_ids = np.concatenate([np.full((len(preps), 1), vocab.sos_id), target_ids[:, :-1]],
+                               axis=1)
+    # Every target token's (step, row), time-major.
+    at, row = np.nonzero(np.arange(steps)[:, None] < lengths)
+    tokens = _Tokens(np.concatenate([[0], np.cumsum(np.bincount(at))]), input_ids[row, at], target_ids[row, at],
+                     None if dropout is None else dropout[row, at],
+                     placeholder[row, at], labels[row, at])
 
     encoded = model.encode_batch([p.example.sr for p in preps], binding)
-    state = initial_state(encoded, hidden, binding)
-    dists: list[Node] = []
-    supervised: list[tuple[AttentionDists, np.ndarray]] = []
-    pending: AttentionDists | None = None
-    pending_rows = None
-    for t in range(steps):
-        live = int(np.count_nonzero(lengths > t))
-        if live < state.h.shape[0]:
-            state = state.take(tape, slice(0, live))
-        word_mask = out_mask = None
-        if dropout is not None:
-            word_mask, out_mask = dropout[:live, t, 0], dropout[:live, t, 1]
-        x = make_feedback_input(input_ids[:live, t], pending, binding, ontology.feedback_size,
-                                mask=word_mask, rows=pending_rows)
-        state, probs = step(binding, x, state, mask=out_mask)
-        dists.append(probs)
-        pending = pending_rows = None
-        if model.uses_attention and placeholder[:live, t].any():
-            rows = np.nonzero(placeholder[:live, t])[0]
-            s = state.s if len(rows) == live else take_rows(tape, state.s, rows)
-            pending, pending_rows = attend(s, encoded, ontology, trees=rows), rows
-            supervised.append((pending, labels[rows, t]))
-
-    nll = nll_loss(tape, dists, [target_ids[:len(d.value), t] for t, d in enumerate(dists)])
-    loss = att_loss(tape, nll, supervised) if model.uses_attention else nll
+    layers = [encoded.labels[layer] for layer in ATTENDED] if model.uses_attention else []
+    value, vjp = _decoder_op(model, encoded, layers, tokens)
+    parents = [binding[name] for name in ("dec.emb", "dec.x", "dec.h", "dec.s", "dec.b",
+                                          "dec.out.w")]
+    total = tape.op(value, (*parents, encoded.embedding, *(s.matrix for s in layers)), vjp)
+    nll = tape.op(value[0], (total,), lambda g: (g * np.array([1.0, 0.0]),))
+    loss = tape.op(value[0] + value[1], (total,), lambda g: (g * np.ones(2),))
     return Forward(tape, loss, nll, int(lengths.sum()))
+
+
+@dataclass
+class _Tokens:
+    """A minibatch's target tokens, time-major, one entry per token: its
+    input and target ids, its two dropout masks ([N, 2, H], or None),
+    whether its target is a placeholder, and the (domain, act, slot) label
+    indices of a supervised placeholder (-1 otherwise).  Step t's entries
+    are ``offsets[t]:offsets[t + 1]``, in batch-row order."""
+
+    offsets: np.ndarray
+    inputs: np.ndarray
+    targets: np.ndarray
+    dropout: np.ndarray | None
+    placeholder: np.ndarray
+    labels: np.ndarray
+
+
+def _decoder_op(model: Model, encoded: EncodedTree, layers: list[LabelStates],
+                tokens: _Tokens) -> tuple[np.ndarray, Callable]:
+    """The teacher-forced decoder of a minibatch and both objectives: the
+    value [summed NLL of the targets, summed -log probability of the
+    supervised placeholders' true domain, act and slot] and its adjoint.
+
+    The forward pass runs the forward-only kernels, as the search does, on
+    a non-recording tape.  The adjoint back-propagates through time:
+    softmax with cross-entropy gives p - onehot for the output layer and
+    for each supervised attention layer; the feedback block carries step
+    t+1's input adjoint back into step t's attention distributions, and
+    through them into the semantic state.  Each weight's gradient is one
+    Δᵀ·X product over the stacked steps (Appleyard et al. 2016)."""
+    fwd = ParamBinding(Tape(recording=False), model.params)
+    view = EncodedTree(fwd.tape.leaf(encoded.embedding.value),
+                       {layer: replace(states, matrix=fwd.tape.leaf(states.matrix.value))
+                        for layer, states in zip(ATTENDED, layers)}, fwd.tape)
+    H, feedback_size = model.hidden, model.ontology.feedback_size
+    words, out_masks = ((None, None) if tokens.dropout is None
+                        else (tokens.dropout[:, 0], tokens.dropout[:, 1]))
+    s = encoded.embedding.value
+    h = c = np.zeros(s.shape)
+    cache, probs, att_picks = [], [], []
+    pending = pending_rows = None
+    for t in range(len(tokens.offsets) - 1):
+        lo, hi = tokens.offsets[t], tokens.offsets[t + 1]
+        h, c, s = h[:hi - lo], c[:hi - lo], s[:hi - lo]
+        x = make_feedback_input(tokens.inputs[lo:hi], pending, fwd, feedback_size,
+                                mask=None if words is None else words[lo:hi], rows=pending_rows)
+        state, p = step(fwd, x, DecoderState(*map(fwd.tape.leaf, (h, c, s))),
+                        mask=None if out_masks is None else out_masks[lo:hi])
+        probs.append(p.value)
+        att = pending = pending_rows = None
+        rows = np.nonzero(tokens.placeholder[lo:hi])[0]
+        if len(rows):
+            s_rows = state.s.value[rows]
+            pending, pending_rows = attend(fwd.tape.leaf(s_rows), view, model.ontology,
+                                           trees=rows), rows
+            dists = [pending.domain.value, pending.act.value, pending.slot.value]
+            labels = tokens.labels[lo:hi][rows]
+            sup = np.nonzero(labels[:, 0] >= 0)[0]
+            att_picks += [dist[sup, labels[sup, j]] for j, dist in enumerate(dists)]
+            att = (rows, dists, labels, sup, s_rows)
+        cache.append((x.value, h, c, s, state.h.value, state.acts, att))
+        h, c, s = state.h.value, state.c.value, state.s.value
+    probs = np.concatenate(probs)
+    n = np.arange(len(probs))
+    nll = _neg_log(probs[n, tokens.targets])
+    att = _neg_log(np.concatenate(att_picks)) if att_picks else 0.0
+    params = fwd.params
+
+    def vjp(grad: np.ndarray):
+        g_nll, g_att = grad
+        wx, wh, ws, w_out = (params[k] for k in ("dec.x", "dec.h", "dec.s", "dec.out.w"))
+        d_logits = g_nll * probs
+        d_logits[n, tokens.targets] -= g_nll
+        h_out = np.concatenate([step_cache[4] for step_cache in cache])
+        d_out = d_logits @ w_out
+        if out_masks is not None:
+            h_out, d_out = h_out * out_masks, d_out * out_masks
+        d_z = np.empty((len(n), 7 * H))
+        # Step 0 runs every sentence of the batch.
+        carry_h, carry_c, carry_s = (np.zeros((tokens.offsets[1], H)) for _ in range(3))
+        d_scores: list[list[np.ndarray]] = [[] for _ in layers]
+        attended = []
+        d_feedback = None
+        for t in reversed(range(len(cache))):
+            lo, hi = tokens.offsets[t], tokens.offsets[t + 1]
+            live = hi - lo
+            _, _, c_prev, s_prev, _, (i, f, o, g, r, w, d, tc, ts), att_t = cache[t]
+            dh = carry_h[:live] + d_out[lo:hi]
+            dc = carry_c[:live] + dh * o * (1.0 - tc * tc)
+            ds = carry_s[:live] + dh * (1.0 - o) * (1.0 - ts * ts)
+            if att_t is not None:
+                rows, dists, labels, sup, s_rows = att_t
+                attended.append(s_rows)
+                blocks = np.split(d_feedback, np.cumsum([len(d[0]) for d in dists[:-1]]), axis=1)
+                for j, (dist, grad_dist, states) in enumerate(zip(dists, blocks, layers)):
+                    d_canon = dist * (grad_dist - np.sum(grad_dist * dist, axis=1, keepdims=True))
+                    d_canon[sup] += g_att * dist[sup]
+                    d_canon[sup, labels[sup, j]] -= g_att
+                    d_sc = np.where(states.owner == rows[:, None], d_canon[:, states.index], 0.0)
+                    ds[rows] += d_sc @ states.matrix.value
+                    d_scores[j].append(d_sc)
+            dz = d_z[lo:hi]
+            dz[:, :H] = dc * g * i * (1.0 - i)
+            dz[:, H:2 * H] = dc * c_prev * f * (1.0 - f)
+            dz[:, 2 * H:3 * H] = dh * (tc - ts) * o * (1.0 - o)
+            dz[:, 3 * H:4 * H] = dc * i * (1.0 - g * g)
+            dz[:, 4 * H:5 * H] = ds * s_prev * r * (1.0 - r)
+            dz[:, 5 * H:6 * H] = ds * d * w * (1.0 - w)
+            dz[:, 6 * H:] = ds * w * (1.0 - d * d)
+            carry_h[:live] = dz @ wh
+            carry_c[:live] = dc * f
+            carry_s[:live] = ds * r + dz[:, 4 * H:] @ ws
+            prev_att = cache[t - 1][-1] if t else None
+            d_feedback = None if prev_att is None else dz[prev_att[0]] @ wx[:, H:]
+        x_all, h_all, s_all = (np.concatenate([step_cache[k] for step_cache in cache])
+                               for k in (0, 1, 3))
+        d_word = d_z @ wx[:, :H]
+        if words is not None:
+            d_word *= words
+        d_emb = np.zeros_like(params["dec.emb"])
+        np.add.at(d_emb, tokens.inputs, d_word)
+        grads = [d_emb, d_z.T @ x_all, d_z.T @ h_all, d_z[:, 4 * H:].T @ s_all,
+                 d_z.sum(axis=0), d_logits.T @ h_out, carry_s]
+        if attended:
+            attended = np.concatenate(attended)
+            grads += [np.concatenate(d_sc).T @ attended for d_sc in d_scores]
+        else:
+            grads += [None] * len(layers)
+        return tuple(grads)
+
+    return np.array([nll, att]), vjp
+
+
+def _neg_log(p: np.ndarray) -> float:
+    if np.any(p <= 0.0):
+        raise DomainError("log of non-positive probability")
+    return -np.sum(np.log(p))
 
 
 def score_hypotheses(examples: list[Example], hyps: list[str]) -> dict:
@@ -639,13 +679,11 @@ def run_matrix(corpus: Corpus, ontology: Ontology, source: str, target: str,
         tasks = [(mode, seed, list(fractions), config.to_json(), source_corpus,
                   target_corpus, ontology, source, target)
                  for mode in modes for seed in seeds]
-        if workers > 1:
-            with worker_pool(workers) as pool:
-                for task_rows in pool.map(_matrix_task, tasks):
-                    rows.extend(task_rows)
-        else:
-            for task in tasks:
-                rows.extend(_matrix_task(task))
+        with worker_pool(workers) if workers > 1 else nullcontext() as pool:
+            # Results come back in task order, each as soon as it and those
+            # before it are done.
+            for task, task_rows in zip(tasks, (pool.map if pool else map)(_matrix_task, tasks)):
+                rows.extend(task_rows)
                 if log_fn:
                     log_fn(f"finished {task[0]} seed {task[1]}")
 

@@ -45,7 +45,7 @@ class TestStep:
     def test_zero_params_halve_semantic_state(self):
         hidden, vocab, feedback = 3, 5, 4
         params = zero_params(vocab, hidden, feedback)
-        tape = Tape()
+        tape = Tape(recording=False)
         binding = ParamBinding(tape, params)
         v = np.array([0.4, -0.8, 0.2])
         state = DecoderState(h=tape.leaf(np.zeros(hidden)),
@@ -62,7 +62,7 @@ class TestStep:
         rng = np.random.default_rng(1)
         hidden, vocab, feedback = 6, 4, 5
         params = init_decoder_params(vocab, hidden, feedback, rng, scale=2.0)
-        tape = Tape()
+        tape = Tape(recording=False)
         binding = ParamBinding(tape, params)
         state = DecoderState(h=tape.leaf(rng.normal(size=hidden)),
                              c=tape.leaf(rng.normal(size=hidden) * 10),
@@ -73,7 +73,7 @@ class TestStep:
 
     def test_dimension_mismatch(self):
         params = zero_params(4, 3, 2)
-        tape = Tape()
+        tape = Tape(recording=False)
         binding = ParamBinding(tape, params)
         state = DecoderState(h=tape.leaf(np.zeros(3)), c=tape.leaf(np.zeros(3)),
                              s=tape.leaf(np.zeros(3)))
@@ -101,7 +101,7 @@ def encoded_with_states(tape, layer_states, ontology):
 
 class TestAttend:
     def test_single_node_distribution(self, ontology):
-        tape = Tape()
+        tape = Tape(recording=False)
         s = tape.leaf([1.0, 2.0])
         enc = encoded_with_states(tape, {
             "domain": {"attraction": [3.0, 4.0]},
@@ -114,7 +114,7 @@ class TestAttend:
         assert dists.domain.value.sum() == pytest.approx(1.0)
 
     def test_equal_states_uniform(self, ontology):
-        tape = Tape()
+        tape = Tape(recording=False)
         s = tape.leaf([0.3, -0.7])
         enc = encoded_with_states(tape, {
             "domain": {"attraction": [1.0, 1.0], "hotel": [1.0, 1.0]},
@@ -126,7 +126,7 @@ class TestAttend:
         assert dists.domain.value[ontology.domain_index("hotel")] == pytest.approx(0.5)
 
     def test_hand_softmax_over_three_slots(self, ontology):
-        tape = Tape()
+        tape = Tape(recording=False)
         s = tape.leaf([1.0])
         enc = encoded_with_states(tape, {
             "domain": {"attraction": [1.0]},
@@ -145,7 +145,7 @@ class TestAttend:
         assert got[ontology.slot_index("price")] == 0.0
 
     def test_empty_layer_rejected(self, ontology):
-        tape = Tape()
+        tape = Tape(recording=False)
         enc = encoded_with_states(tape, {"domain": {}, "act": {}, "slot": {}}, ontology)
         with pytest.raises(ContractError):
             attend(tape.leaf([1.0, 0.0]), enc, ontology)
@@ -158,7 +158,7 @@ class TestAttend:
             [SrEntry("attraction", "inform", "options", "five"),
              SrEntry("attraction", "inform", "area", "west"),
              SrEntry("attraction", "request", "price", REQUEST)], ontology)
-        tape = Tape()
+        tape = Tape(recording=False)
         enc = encode(build_tree(sr, ontology), ParamBinding(tape, params), index)
         dists = attend(tape.leaf(rng.normal(size=4)), enc, ontology)
         for vec in arrays(dists):
@@ -168,7 +168,7 @@ class TestAttend:
     def test_positive_scaling_keeps_argmax(self, ontology):
         rng = np.random.default_rng(9)
         for trial in range(10):
-            tape = Tape()
+            tape = Tape(recording=False)
             enc = encoded_with_states(tape, {
                 "domain": {"attraction": rng.normal(size=2), "hotel": rng.normal(size=2)},
                 "act": {"inform": rng.normal(size=2), "request": rng.normal(size=2)},
@@ -187,7 +187,7 @@ class TestAssemble:
         return AttentionDists(tape.leaf(domain_vec), tape.leaf(act_vec), tape.leaf(slot_vec))
 
     def test_argmax_forms_token(self, ontology):
-        tape = Tape()
+        tape = Tape(recording=False)
         d = np.zeros(len(ontology.domains)); d[ontology.domain_index("attraction")] = 1.0
         a = np.zeros(len(ontology.acts)); a[ontology.act_index("inform")] = 1.0
         s = np.zeros(len(ontology.slots)); s[ontology.slot_index("area")] = 1.0
@@ -199,7 +199,7 @@ class TestAssemble:
         assert entry.step == 3
 
     def test_tie_breaks_to_canonical_first(self, ontology):
-        tape = Tape()
+        tape = Tape(recording=False)
         d = np.full(len(ontology.domains), 0.5)
         a = np.zeros(len(ontology.acts)); a[0] = 1.0
         s = np.zeros(len(ontology.slots)); s[0] = 1.0
@@ -208,7 +208,7 @@ class TestAssemble:
         assert entry.triple[0] == ontology.domains[0]
 
     def test_trace_records_full_distributions(self, ontology):
-        tape = Tape()
+        tape = Tape(recording=False)
         d = np.zeros(len(ontology.domains)); d[0] = 0.75; d[1] = 0.25
         a = np.zeros(len(ontology.acts)); a[0] = 1.0
         s = np.zeros(len(ontology.slots)); s[0] = 1.0
@@ -222,7 +222,7 @@ class TestAssemble:
 class TestFeedback:
     def test_plain_word_gets_zero_block(self, ontology):
         params = init_decoder_params(6, 4, ontology.feedback_size, np.random.default_rng(0))
-        tape = Tape()
+        tape = Tape(recording=False)
         binding = ParamBinding(tape, params)
         x = make_feedback_input(2, None, binding, ontology.feedback_size)
         assert x.shape == (4 + ontology.feedback_size,)
@@ -230,7 +230,7 @@ class TestFeedback:
 
     def test_distribution_block_concatenated(self, ontology):
         params = init_decoder_params(6, 4, ontology.feedback_size, np.random.default_rng(0))
-        tape = Tape()
+        tape = Tape(recording=False)
         binding = ParamBinding(tape, params)
         nd, na, ns = len(ontology.domains), len(ontology.acts), len(ontology.slots)
         dists = AttentionDists(tape.leaf(np.full(nd, 1.0 / nd)),
@@ -241,3 +241,23 @@ class TestFeedback:
         assert block.size == nd + na + ns
         assert block[:nd] == pytest.approx(np.full(nd, 1.0 / nd))
         assert block[nd:nd + na] == pytest.approx(np.full(na, 1.0 / na))
+
+
+class TestForwardOnly:
+    def test_kernels_refuse_a_recording_tape(self, ontology):
+        """The kernels register no op: on a recording tape their gradients
+        would be lost without a trace, so they raise instead."""
+        params = init_decoder_params(6, 4, ontology.feedback_size, np.random.default_rng(0))
+        tape = Tape()
+        binding = ParamBinding(tape, params)
+        state = DecoderState(*(tape.leaf(np.zeros(4)) for _ in range(3)))
+        with pytest.raises(ContractError):
+            make_feedback_input(1, None, binding, ontology.feedback_size)
+        with pytest.raises(ContractError):
+            step(binding, tape.leaf(np.zeros(4 + ontology.feedback_size)), state)
+        enc = encoded_with_states(tape, {"domain": {"hotel": [1.0]}, "act": {"inform": [1.0]},
+                                         "slot": {"area": [1.0]}}, ontology)
+        with pytest.raises(ContractError):
+            attend(tape.leaf([1.0]), enc, ontology)
+        assert tape.nodes and all(node.vjp is None for node in tape.nodes)
+

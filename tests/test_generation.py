@@ -211,6 +211,50 @@ class TestRender:
         assert top.flags == ["@hotel-inform-area"]
 
 
+class TestNothingToAttend:
+    """An SR whose tree lacks a label in some attended layer: a bare act has
+    no slot, an empty SR not even a domain.  The search never extends a
+    hypothesis with "@" for it."""
+
+    def pushed_model(self, ontology, seed=0):
+        """Hidden 8, vocabulary {hello, @}, and the "@" row of the output
+        projection pushed up, so that "@" is often the best token."""
+        model = random_model(ontology, seed, words=("hello", "@"))
+        rng = np.random.default_rng(seed)
+        model.params["dec.out.w"][model.vocab.id_of("@")] += 5.0 * np.sign(rng.normal(size=8))
+        return model
+
+    def test_bare_act_and_empty_sr_decode_without_placeholder(self, ontology):
+        srs = [SemanticRepresentation([SrEntry("restaurant", "inform", None, None)], ontology),
+               SemanticRepresentation([], ontology)]
+        placeholder_led = 0
+        for seed in range(6):
+            model = self.pushed_model(ontology, seed)
+            for sr in srs:
+                # The vocabulary (5 tokens) is smaller than the beam.
+                for result in (greedy_decode(model, sr, max_length=10),
+                               beam_decode(model, sr, beam_size=10, max_length=10)):
+                    assert result.hypotheses
+                    for hyp in result.hypotheses:
+                        assert "@" not in hyp.delex_text.split()
+                        assert not hyp.trace.entries
+                placeholder_led += self.leads_with_placeholder(model, sr)
+        assert placeholder_led  # "@" was the best first token somewhere
+
+    @staticmethod
+    def leads_with_placeholder(model, sr) -> bool:
+        tape = Tape(recording=False)
+        binding = ParamBinding(tape, model.params)
+        state = initial_state(model.encode_sr(sr, binding), model.hidden, binding)
+        x = make_feedback_input(model.vocab.sos_id, None, binding, model.ontology.feedback_size)
+        _, probs = step(binding, x, state)
+        return int(np.argmax(probs.value)) == model.vocab.id_of("@")
+
+    def test_full_tree_still_emits_placeholders(self, ontology, sr):
+        model = self.pushed_model(ontology)
+        assert "@" in greedy_decode(model, sr, max_length=10).top.delex_text
+
+
 class TestValidation:
     def test_bad_beam_size(self, ontology, sr):
         model = random_model(ontology, 0)

@@ -13,11 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treenlg import training
-from treenlg.engine import Tape, softmax_last
+from treenlg.engine import Tape
 from treenlg.errors import CompatibilityError, ConfigError, ContractError
-from treenlg.decoder import AttentionDists
 from treenlg.model import (
     Model,
+    PreparedExample,
     Vocabulary,
     load_checkpoint,
     param_shapes,
@@ -30,10 +30,8 @@ from treenlg.semantics import Corpus, Example, Ontology, SemanticRepresentation,
 from treenlg.synth import SynthSpec, synth_corpus
 from treenlg.training import (
     TrainConfig,
-    att_loss,
     adapt,
     cell_seed,
-    nll_loss,
     parse_results_csv,
     results_to_csv,
     run_matrix,
@@ -59,54 +57,84 @@ def small_config(**overrides):
 
 
 class TestLosses:
-    def uniform_dists(self, tape, vocab_size, count):
-        return [tape.leaf(softmax_last(np.zeros(vocab_size))) for _ in range(count)]
+    """Both objectives of ``teacher_forced`` on hand-set models, where they
+    have closed forms."""
+
+    ONTOLOGY = Ontology({"cafe": {"inform": {"area": "informable"}},
+                         "inn": {"request": {"price": "requestable"}}})
+    ONE = SemanticRepresentation([SrEntry("cafe", "inform", "area", "west")], ONTOLOGY)
+    TWO = SemanticRepresentation([SrEntry("cafe", "inform", "area", "west"),
+                                  SrEntry("inn", "request", "price", "?")], ONTOLOGY)
+
+    def zero_model(self, words, mode="tree+att", hidden=4):
+        """Every parameter zero: each word distribution is uniform over the
+        vocabulary, every label state is zero, and so each attention
+        distribution is uniform over its tree's labels of the layer."""
+        vocab = Vocabulary.build([words], placeholder_only=mode == "tree+att")
+        model = Model.create(mode, self.ONTOLOGY, vocab, hidden, np.random.default_rng(0))
+        for value in model.params.values():
+            value[...] = 0.0
+        return model
+
+    def loss(self, model, tokens, labels=None, sr=None):
+        prep = PreparedExample(Example(sr or self.ONE, " ".join(tokens), "train"), tokens,
+                               labels or {})
+        fwd = teacher_forced(model, prep, small_config(mode=model.mode, hidden=model.hidden),
+                             training=False)
+        return float(fwd.loss.value), float(fwd.nll.value)
 
     def test_uniform_nll(self):
-        tape = Tape()
-        dists = self.uniform_dists(tape, 10, 4)
-        loss = nll_loss(tape, dists, [0, 3, 5, 9])
-        assert float(loss.value) == pytest.approx(4 * math.log(10))
+        model = self.zero_model(["a", "b", "c", "d", "e", "f", "g"], mode="tree")
+        assert len(model.vocab) == 10
+        _, nll = self.loss(model, ["a", "c", "e"])
+        assert nll == pytest.approx(4 * math.log(10))
 
     def test_confident_nll_tends_to_zero(self):
-        tape = Tape()
-        logits = np.zeros(6)
-        logits[2] = 30.0
-        loss = nll_loss(tape, [tape.leaf(softmax_last(logits))], [2])
-        assert float(loss.value) == pytest.approx(0.0, abs=1e-10)
+        """Gates i, o and g saturated open and f shut make every hidden unit
+        tanh(1); a large end-token row then leaves the end token almost
+        all the mass."""
+        model = self.zero_model(["a", "b"], mode="tree")
+        hidden = model.hidden
+        model.params["dec.b"][:4 * hidden] = np.repeat([30.0, -30.0, 30.0, 30.0], hidden)
+        model.params["dec.out.w"][model.vocab.eos_id] = 100.0
+        _, nll = self.loss(model, [])
+        assert nll == pytest.approx(0.0, abs=1e-10)
 
     def test_quarter_probability(self):
-        tape = Tape()
-        loss = nll_loss(tape, [tape.leaf(softmax_last(np.zeros(4)))], [1])
-        assert float(loss.value) == pytest.approx(math.log(4))
+        model = self.zero_model(["a"], mode="tree")
+        assert len(model.vocab) == 4
+        _, nll = self.loss(model, [])
+        assert nll == pytest.approx(math.log(4))
 
     def test_target_out_of_vocabulary(self):
-        tape = Tape()
+        """A target the model's tensors do not cover is rejected when it
+        comes back as the next step's input."""
+        model = self.zero_model(["a"], mode="tree")
+        model.vocab = Vocabulary.build([["a", "b"]], placeholder_only=False)
         with pytest.raises(ContractError):
-            nll_loss(tape, [tape.leaf(softmax_last(np.zeros(4)))], [7])
+            self.loss(model, ["b"])
 
     def test_att_loss_reduces_to_nll_without_placeholders(self):
-        tape = Tape()
-        nll = nll_loss(tape, self.uniform_dists(tape, 4, 2), [0, 1])
-        assert float(att_loss(tape, nll, []).value) == float(nll.value)
+        model = self.zero_model(["a", "b"])
+        rng = np.random.default_rng(1)
+        for value in model.params.values():
+            value[...] = rng.normal(size=value.shape)
+        loss, nll = self.loss(model, ["a", "b"], sr=self.TWO)
+        assert loss == nll
 
     def test_att_loss_zero_penalty_at_certainty(self):
-        tape = Tape()
-        nll = nll_loss(tape, self.uniform_dists(tape, 4, 1), [0])
-        sure = AttentionDists(tape.leaf(np.array([1.0, 0.0])),
-                              tape.leaf(np.array([0.0, 1.0])),
-                              tape.leaf(np.array([1.0])))
-        total = att_loss(tape, nll, [(sure, (0, 1, 0))])
-        assert float(total.value) == pytest.approx(float(nll.value))
+        """One label per layer: each distribution is certain."""
+        model = self.zero_model(["in", "the"])
+        loss, nll = self.loss(model, ["in", "the", "@"], {2: ("cafe", "inform", "area")})
+        assert loss == pytest.approx(nll, abs=1e-12)
 
     def test_att_loss_uniform_two_labels(self):
-        tape = Tape()
-        nll = nll_loss(tape, self.uniform_dists(tape, 4, 1), [0])
-        half = AttentionDists(tape.leaf(np.array([0.5, 0.5])),
-                              tape.leaf(np.array([0.5, 0.5])),
-                              tape.leaf(np.array([0.5, 0.5])))
-        total = att_loss(tape, nll, [(half, (0, 0, 1))])
-        assert float(total.value) == pytest.approx(float(nll.value) + 3 * math.log(2))
+        """Two labels per layer with equal states: log 2 per layer for the
+        supervised placeholder, nothing for the unsupervised one."""
+        model = self.zero_model(["or"])
+        loss, nll = self.loss(model, ["@", "or", "@"], {0: ("cafe", "inform", "area")},
+                              sr=self.TWO)
+        assert loss == pytest.approx(nll + 3 * math.log(2))
 
     def test_att_objective_never_below_plain(self, small_corpus):
         corpus, ontology = small_corpus
@@ -144,6 +172,24 @@ class TestTapeLifetime:
             assert loss() is None
         finally:
             gc.enable()
+
+
+class TestTapeShape:
+    def test_node_count_does_not_grow_with_sentence_length(self, small_corpus):
+        """The encoder's ops, the decoder op and its two views: a fixed
+        chain, however many steps the sentences run."""
+        corpus, ontology = small_corpus
+        config = small_config()
+        long = [prepare_example(e, "tree+att", ontology) for e in corpus.split("train")[:16]]
+        short = [PreparedExample(p.example, ["hi"]) for p in long]
+        vocab = Vocabulary.build([p.tokens for p in long + short], placeholder_only=True)
+        model = Model.create("tree+att", ontology, vocab, config.hidden,
+                             rng_stream(0, STREAM_INIT))
+        tapes = [training.teacher_forced_batch(model, batch, config, training=False).tape
+                 for batch in (short, long)]
+        assert max(len(p.tokens) for p in long) > 10
+        assert any(p.labels for p in long)
+        assert len(tapes[0].nodes) == len(tapes[1].nodes) <= 30
 
 
 class TestTrainLoop:
@@ -492,6 +538,16 @@ class TestRunMatrix:
             run_matrix(corpus, ontology, "restaurant", "hotel", fractions=[],
                        seeds=[0], modes=["tree"], config=small_config(),
                        cell_fn=self.stub)
+
+
+class TestSweepProgress:
+    def test_workers_log_one_line_per_task(self, small_corpus):
+        corpus, ontology = small_corpus
+        lines = []
+        run_matrix(corpus, ontology, "restaurant", "hotel", fractions=[0.1], seeds=[0, 1],
+                   modes=["flat-baseline"], config=small_config(max_epochs=1, hidden=4),
+                   workers=2, log_fn=lines.append)
+        assert lines == ["finished flat-baseline seed 0", "finished flat-baseline seed 1"]
 
 
 BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
