@@ -17,6 +17,8 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
+
 from .errors import CompatibilityError, ConfigError, ModeError, ParseError, TreeNlgError
 from .generation import DEFAULT_MAX_LENGTH, beam_decode, greedy_decode
 from .metrics import seen_unseen_split
@@ -86,7 +88,7 @@ def _save_outcome(outcome, out: Path, summary: str) -> None:
     checkpoint = outcome.checkpoint
     save_checkpoint(out / "checkpoint.ckpt", checkpoint.model, checkpoint.config,
                     checkpoint.epoch, checkpoint.dev_metrics)
-    outcome.write_log(out / "epochs.jsonl")
+    outcome.write_log(out)
     print(f"{summary}: {checkpoint.dev_metrics}")
 
 
@@ -403,7 +405,10 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.fn(args)
+        # Overflow and invalid-value warnings would print lines of their
+        # own; the package's finiteness checks report such a failure.
+        with np.errstate(all="ignore"):
+            return args.fn(args)
     except ModeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4

@@ -16,9 +16,12 @@ into the next step's input as a record of what was just generated.
 this math, for training and decoding alike.  Each computes its forward pass
 in numpy over one row ([n] inputs) or a stack of K rows ([K, n]): the
 hypotheses of a beam, or the live sentences of a training minibatch.  They
-are forward-only: they register no op and refuse a recording tape.  Their
-one adjoint is the teacher-forced decoder op in ``training``, which runs
-them over a whole minibatch and back-propagates through time in reverse.
+are forward-only: they refuse a recording tape, read the weights from
+``binding.params`` and return unrecorded nodes.  Once per call, ``step``
+checks its word distributions and ``attend`` its attention distributions
+for NaN/Inf (``DomainError``).  Their one adjoint is the teacher-forced
+decoder op in ``training``, which runs them over a whole minibatch and
+back-propagates through time in reverse.
 """
 
 from __future__ import annotations
@@ -31,10 +34,10 @@ from .engine import (
     Node,
     ParamBinding,
     Tape,
+    check_finite,
     init_uniform,
     logistic,
     softmax_last,
-    take_rows,
 )
 from .errors import ContractError, DimensionError
 from .semantics import Ontology
@@ -87,25 +90,25 @@ class DecoderState:
     s: Node
     acts: tuple[np.ndarray, ...] | None = None
 
-    def take(self, tape: Tape, rows) -> "DecoderState":
+    def take(self, rows) -> "DecoderState":
         """The given rows of the state, as one stack; a one-hypothesis state
         counts as a stack of one, and a row may repeat (a beam keeps several
         children of one parent)."""
-        return DecoderState(*(take_rows(tape, n, rows) for n in (self.h, self.c, self.s)))
+        return DecoderState(*(Node(n.value.reshape(-1, n.shape[-1])[rows])
+                              for n in (self.h, self.c, self.s)))
 
 
 def initial_state(encoded: EncodedTree, hidden: int, binding: ParamBinding) -> DecoderState:
-    zeros = binding.tape.leaf(np.zeros(encoded.embedding.shape[:-1] + (hidden,)))
+    zeros = Node(np.zeros(encoded.embedding.shape[:-1] + (hidden,)))
     return DecoderState(h=zeros, c=zeros, s=encoded.embedding)
 
 
-def _forward_only(tape: Tape) -> Tape:
+def _forward_only(tape: Tape) -> None:
     """The kernels register no op, so on a recording tape their gradients
     would go missing without a trace; the teacher-forced decoder op in
     ``training`` holds their adjoint."""
     if tape.recording:
         raise ContractError("decoder kernels run forward only, on a non-recording tape")
-    return tape
 
 
 def _check_stack(*values: np.ndarray) -> None:
@@ -127,8 +130,8 @@ def step(binding: ParamBinding, x: Node, state: DecoderState,
     the reading, writing and semantic-update gates.  Then the memory cell,
     the semantic state, the hidden state, dropout, the vocabulary projection
     and the softmax."""
-    tape = _forward_only(binding.tape)
-    wx, wh, ws, b = (binding[name].value for name in ("dec.x", "dec.h", "dec.s", "dec.b"))
+    _forward_only(binding.tape)
+    wx, wh, ws, b = (binding.params[name] for name in ("dec.x", "dec.h", "dec.s", "dec.b"))
     H = wh.shape[1]
     x_v, h_v, c_v, s_v = x.value, state.h.value, state.c.value, state.s.value
     _check_stack(x_v, h_v, c_v, s_v)
@@ -148,9 +151,9 @@ def step(binding: ParamBinding, x: Node, state: DecoderState,
     tc, ts = np.tanh(c), np.tanh(s)
     h = o * tc + (1.0 - o) * ts
     h_out = h if mask is None else h * mask
-    probs = softmax_last(h_out @ binding["dec.out.w"].value.T)
-    return (DecoderState(tape.leaf(h), tape.leaf(c), tape.leaf(s), (i, f, o, g, r, w, d, tc, ts)),
-            tape.leaf(probs))
+    probs = check_finite(softmax_last(h_out @ binding.params["dec.out.w"].T),
+                         "word distributions")
+    return DecoderState(Node(h), Node(c), Node(s), (i, f, o, g, r, w, d, tc, ts)), Node(probs)
 
 
 @dataclass
@@ -176,7 +179,7 @@ def attend(s: Node, encoded: EncodedTree, ontology: Ontology,
     Per layer, the scores are one product with the layer's [labels, H]
     label states, and each row's softmax over its tree's labels is
     scattered to the layer's canonical label positions."""
-    tape = _forward_only(encoded.tape)
+    _forward_only(encoded.tape)
     _check_stack(s.value)
     n_rows = 1 if s.value.ndim == 1 else s.shape[0]
     which = np.zeros(n_rows, dtype=np.intp) if trees is None else np.asarray(trees, np.intp)
@@ -188,7 +191,8 @@ def attend(s: Node, encoded: EncodedTree, ontology: Ontology,
         if states is None or not np.all(states.counts[which]):
             raise ContractError(f"no activated {layer} nodes to attend over")
         size = len(getattr(ontology, _LAYER_SIZE[layer]))
-        out[layer] = tape.leaf(_layer_attention(s.value, states, which, size))
+        out[layer] = Node(check_finite(_layer_attention(s.value, states, which, size),
+                                       "attention distributions"))
     return AttentionDists(out["domain"], out["act"], out["slot"])
 
 
@@ -281,8 +285,8 @@ def make_feedback_input(word_id, dists: AttentionDists | None,
     ``dists`` holds the distributions of the rows listed in ``rows`` (all
     rows if None), and the other rows get zeros.  ``mask`` is the word
     embedding's inverted-dropout mask, if any."""
-    tape = _forward_only(binding.tape)
-    emb = binding["dec.emb"].value
+    _forward_only(binding.tape)
+    emb = binding.params["dec.emb"]
     ids = np.asarray(word_id, dtype=np.intp)
     if ids.size and not (0 <= ids.min() and ids.max() < emb.shape[0]):
         raise ContractError(f"word id out of range for a vocabulary of {emb.shape[0]}")
@@ -299,4 +303,4 @@ def make_feedback_input(word_id, dists: AttentionDists | None,
             raise DimensionError(f"feedback block of shape {block.shape} for rows of "
                                  f"shape {feedback[at].shape}")
         feedback[at] = block
-    return tape.leaf(np.concatenate([word, feedback], axis=-1))
+    return Node(np.concatenate([word, feedback], axis=-1))

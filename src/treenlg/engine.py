@@ -7,9 +7,12 @@ the teacher-forced decoder register through ``Tape.op``, each with a
 closed-form adjoint.  Nodes are appended in forward order, so the node list is already
 a topological order and ``backward`` is a single reverse sweep.  Nodes do
 not refer to their tape: kernels take it from their ``ParamBinding``, and a
-finished tape is freed by reference counting.  All data is 64-bit; a leaf or
-op value with NaN/Inf is rejected when it is registered, so a blow-up is
-caught in the kernel that made it.
+finished tape is freed by reference counting.  All data is 64-bit.
+
+Finiteness is checked where values are made or written: an input leaf or
+op value with NaN/Inf is rejected when it is registered, and parameters
+when a ``Model`` is built and after each ``Adam.step``, not again in their
+``ParamBinding`` leaves.  The decoder kernels check their own outputs.
 
 An op's inputs may be one row ([n]) or a stack of K rows ([K, n]): one
 tape holds a whole minibatch, as a chain of ops whose length does not
@@ -30,24 +33,30 @@ from .errors import ContractError, DimensionError, DomainError, ParameterError
 Array = np.ndarray
 
 
-def _as_f64(value) -> Array:
-    arr = np.asarray(value, dtype=np.float64)
+def check_finite(value: Array, what: str = "tensor") -> Array:
+    """``value`` itself, or ``DomainError`` if it holds NaN or Inf."""
     # Element-wise, not a probe of the sum: a sum of finite values can
     # overflow (and warn), and this costs the same at the sizes used here.
-    if not np.isfinite(arr).all():
-        raise DomainError("non-finite values in tensor")
-    return arr
+    if not np.isfinite(value).all():
+        raise DomainError(f"non-finite values in {what}")
+    return value
+
+
+def _as_f64(value) -> Array:
+    return check_finite(np.asarray(value, dtype=np.float64))
 
 
 class Node:
     """One entry on the tape: a cached forward value plus its adjoint hook.
 
     ``param`` names the parameter a leaf holds.  A node does not refer to
-    its tape, so nothing keeps a finished tape alive but its users."""
+    its tape, so nothing keeps a finished tape alive but its users; a node
+    built directly (``Node(value)``) is on no tape and is not checked."""
 
     __slots__ = ("value", "parents", "vjp", "param", "grad", "grad_owned", "__weakref__")
 
-    def __init__(self, value: Array, parents: tuple["Node", ...], vjp, param: str | None):
+    def __init__(self, value: Array, parents: tuple["Node", ...] = (), vjp=None,
+                 param: str | None = None):
         self.value = value
         self.parents = parents
         self.vjp = vjp
@@ -74,23 +83,21 @@ class Tape:
         self.recording = recording
         self.nodes: list[Node] = []
 
-    def _append(self, value, parents: tuple[Node, ...], vjp, param=None) -> Node:
-        node = Node(_as_f64(value), parents, vjp, param)
+    def _append(self, node: Node) -> Node:
         if self.recording:
             self.nodes.append(node)
         return node
 
     def leaf(self, value, param: str | None = None) -> Node:
         """Register an input tensor; ``param`` names it for gradient collection."""
-        return self._append(value, (), None, param)
+        return self._append(Node(_as_f64(value), param=param))
 
     def op(self, value, parents: tuple[Node, ...], vjp: Callable[[Array], tuple]) -> Node:
         """Register an op result.  ``parents`` must be nodes of this tape;
         ``vjp`` maps the output adjoint to one adjoint per parent (None for
         a parent that gets no gradient)."""
-        if not self.recording:
-            return self._append(value, (), None)
-        return self._append(value, parents, vjp)
+        value = _as_f64(value)
+        return self._append(Node(value, parents, vjp) if self.recording else Node(value))
 
     def backward(self, loss: Node) -> None:
         """Populate ``grad`` on every leaf reachable from the scalar ``loss``.
@@ -136,7 +143,8 @@ class Tape:
 
 
 class ParamBinding:
-    """Binds a named-parameter dict to one tape, one leaf per name."""
+    """Binds a named-parameter dict to one tape, one leaf per name; a leaf
+    holds the parameter array itself, unchecked."""
 
     def __init__(self, tape: Tape, params: Mapping[str, Array]):
         self.tape = tape
@@ -146,8 +154,7 @@ class ParamBinding:
     def __getitem__(self, name: str) -> Node:
         node = self._leaves.get(name)
         if node is None:
-            node = self.tape.leaf(self.params[name], param=name)
-            self._leaves[name] = node
+            node = self._leaves[name] = self.tape._append(Node(self.params[name], param=name))
         return node
 
 
@@ -155,13 +162,14 @@ def logistic(x: Array) -> Array:
     """Element-wise sigmoid, stable for large |x|: both branches
     exponentiate -|x| only."""
     ex = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + ex), ex / (1.0 + ex))
+    d = 1.0 + ex
+    return np.where(x >= 0, 1.0 / d, ex / d)
 
 
 def softmax_last(x: Array) -> Array:
     """Softmax over the last axis, max-subtracted for stability."""
-    e = np.exp(x - np.max(x, axis=-1, keepdims=True))
-    return e / np.sum(e, axis=-1, keepdims=True)
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def slice_last(tape: Tape, a: Node, start: int, stop: int) -> Node:
@@ -223,7 +231,8 @@ def init_uniform(blocks: list[tuple[str, tuple[int, ...]]], rng: np.random.Gener
 
 
 class Adam:
-    """Adam with bias correction; moments keyed by parameter name."""
+    """Adam with bias correction; moments keyed by parameter name.  A step
+    that leaves a non-finite parameter value raises ``DomainError``."""
 
     def __init__(self, lr: float, beta1: float = 0.9, beta2: float = 0.999,
                  eps: float = 1e-8):
@@ -254,6 +263,7 @@ class Adam:
             m_hat = m / (1.0 - self.beta1 ** t)
             v_hat = v / (1.0 - self.beta2 ** t)
             theta -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            check_finite(theta, f"parameter {name!r} after an Adam step")
 
 
 def global_norm(grads: Mapping[str, Array]) -> float:

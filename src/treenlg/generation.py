@@ -46,7 +46,7 @@ from .decoder import (
     resolve_placeholder,
     step,
 )
-from .engine import ParamBinding, Tape
+from .engine import Node, ParamBinding, Tape
 from .errors import ContractError
 from .model import Model
 from .semantics import Ontology, SemanticRepresentation, lexicalize, token_surface
@@ -135,8 +135,8 @@ def _rank(model: Model, sr: SemanticRepresentation, hyps: list[Hypothesis],
     return GenerationResult(ranked)
 
 
-def _feedback(live: list[Hypothesis], placeholder_id: int | None, ontology: Ontology,
-              tape: Tape) -> AttentionDists | None:
+def _feedback(live: list[Hypothesis], placeholder_id: int | None,
+              ontology: Ontology) -> AttentionDists | None:
     """The feedback block of the stack: the attention distributions of the last
     word for hypotheses that just emitted a placeholder, zeros elsewhere."""
     rows = [k for k, h in enumerate(live)
@@ -149,15 +149,14 @@ def _feedback(live: list[Hypothesis], placeholder_id: int | None, ontology: Onto
         entry = live[k].trace[-1]
         for block, dist in zip(blocks, (entry.domain_dist, entry.act_dist, entry.slot_dist)):
             block[k] = dist
-    return AttentionDists(*(tape.leaf(block) for block in blocks))
+    return AttentionDists(*map(Node, blocks))
 
 
 def _search(model: Model, sr: SemanticRepresentation, beam_size: int,
             max_length: int) -> GenerationResult:
     if beam_size < 1 or max_length < 1:
         raise ContractError("beam size and max length must be at least 1")
-    tape = Tape(recording=False)
-    binding = ParamBinding(tape, model.params)
+    binding = ParamBinding(Tape(recording=False), model.params)
     encoded = model.encode_sr(sr, binding)
     vocab, ontology = model.vocab, model.ontology
     placeholder_id = vocab.index.get(PLACEHOLDER) if model.uses_attention else None
@@ -166,38 +165,38 @@ def _search(model: Model, sr: SemanticRepresentation, beam_size: int,
     if placeholder_id is not None and not all(states.counts.all()
                                               for states in encoded.labels.values()):
         banned = placeholder_id
-    state = initial_state(encoded, model.hidden, binding).take(tape, [0])
+    state = initial_state(encoded, model.hidden, binding).take([0])
     live = [Hypothesis((), 0.0)]
     finished: list[Hypothesis] = []
 
     for t in range(max_length):
         words = [h.token_ids[-1] if h.token_ids else vocab.sos_id for h in live]
-        x = make_feedback_input(words, _feedback(live, placeholder_id, ontology, tape),
+        x = make_feedback_input(words, _feedback(live, placeholder_id, ontology),
                                 binding, ontology.feedback_size)
         state, probs = step(binding, x, state)
         logp = np.log(np.maximum(probs.value, 1e-300))
         scores = np.array([h.score for h in live])[:, None] + logp
         # Stable sort so ties go to the lowest token id, like argmax.
-        top = np.argsort(-logp, axis=1, kind="stable")
+        top = (-logp).argsort(axis=1, kind="stable")
         if beam_size == 1 and banned >= 0:
             top = top[top != banned].reshape(len(live), -1)
         top = top[:, :beam_size]
         ends = top == vocab.eos_id
-        for parent in np.nonzero(ends.any(axis=1))[0]:
+        for parent in ends.any(axis=1).nonzero()[0]:
             hyp = live[parent]
             finished.append(Hypothesis(hyp.token_ids, float(scores[parent, vocab.eos_id]),
                                        hyp.trace, finished=True))
-        parents, cols = np.nonzero(~ends & (top != banned))
+        parents, cols = (~ends & (top != banned)).nonzero()
         tokens = top[parents, cols]
         child_scores = scores[parents, tokens]
         chosen = np.lexsort((tokens, parents, -child_scores))[:beam_size]
         parents, tokens, child_scores = parents[chosen], tokens[chosen], child_scores[chosen]
 
-        state = state.take(tape, parents)
+        state = state.take(parents)
         emitted = [k for k, tok in enumerate(tokens) if tok == placeholder_id]
         resolved: dict[int, tuple[TraceEntry]] = {}
         if emitted:
-            dists = attend(tape.leaf(state.s.value[emitted]), encoded, ontology)
+            dists = attend(Node(state.s.value[emitted]), encoded, ontology)
             for j, k in enumerate(emitted):
                 resolved[k] = (resolve_placeholder(t, dists.domain.value[j].copy(),
                                                    dists.act.value[j].copy(),

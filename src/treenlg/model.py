@@ -20,7 +20,7 @@ import numpy as np
 from . import decoder as dec
 from . import tree as enc
 from .decoder import PLACEHOLDER
-from .engine import ParamBinding
+from .engine import ParamBinding, check_finite
 from .errors import CompatibilityError, ConfigError, ContractError, ParseError
 from .semantics import (
     Example,
@@ -138,12 +138,15 @@ def param_shapes(mode: str, ontology: Ontology, vocab_size: int,
 
 
 class Model:
-    """Parameters plus the lookup tables they are shaped by."""
+    """Parameters plus the lookup tables they are shaped by.  Every tensor
+    is checked finite here (``DomainError``), so tapes need not check it."""
 
     def __init__(self, mode: str, hidden: int, ontology: Ontology,
                  vocab: Vocabulary, params: dict[str, np.ndarray]):
         if mode not in MODES:
             raise ConfigError(f"unknown mode {mode!r}, expected one of {MODES}")
+        for name, value in params.items():
+            check_finite(value, f"parameter {name!r}")
         self.mode = mode
         self.hidden = hidden
         self.ontology = ontology

@@ -16,9 +16,10 @@ import json
 import math
 import multiprocessing
 import os
+import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager, nullcontext
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Iterator
 
@@ -222,9 +223,7 @@ def _decoder_op(model: Model, encoded: EncodedTree, layers: list[LabelStates],
     through them into the semantic state.  Each weight's gradient is one
     Δᵀ·X product over the stacked steps (Appleyard et al. 2016)."""
     fwd = ParamBinding(Tape(recording=False), model.params)
-    view = EncodedTree(fwd.tape.leaf(encoded.embedding.value),
-                       {layer: replace(states, matrix=fwd.tape.leaf(states.matrix.value))
-                        for layer, states in zip(ATTENDED, layers)}, fwd.tape)
+    view = EncodedTree(encoded.embedding, dict(zip(ATTENDED, layers)), fwd.tape)
     H, feedback_size = model.hidden, model.ontology.feedback_size
     words, out_masks = ((None, None) if tokens.dropout is None
                         else (tokens.dropout[:, 0], tokens.dropout[:, 1]))
@@ -237,14 +236,14 @@ def _decoder_op(model: Model, encoded: EncodedTree, layers: list[LabelStates],
         h, c, s = h[:hi - lo], c[:hi - lo], s[:hi - lo]
         x = make_feedback_input(tokens.inputs[lo:hi], pending, fwd, feedback_size,
                                 mask=None if words is None else words[lo:hi], rows=pending_rows)
-        state, p = step(fwd, x, DecoderState(*map(fwd.tape.leaf, (h, c, s))),
+        state, p = step(fwd, x, DecoderState(Node(h), Node(c), Node(s)),
                         mask=None if out_masks is None else out_masks[lo:hi])
         probs.append(p.value)
         att = pending = pending_rows = None
         rows = np.nonzero(tokens.placeholder[lo:hi])[0]
         if len(rows):
             s_rows = state.s.value[rows]
-            pending, pending_rows = attend(fwd.tape.leaf(s_rows), view, model.ontology,
+            pending, pending_rows = attend(Node(s_rows), view, model.ontology,
                                            trees=rows), rows
             dists = [pending.domain.value, pending.act.value, pending.slot.value]
             labels = tokens.labels[lo:hi][rows]
@@ -257,7 +256,7 @@ def _decoder_op(model: Model, encoded: EncodedTree, layers: list[LabelStates],
     n = np.arange(len(probs))
     nll = _neg_log(probs[n, tokens.targets])
     att = _neg_log(np.concatenate(att_picks)) if att_picks else 0.0
-    params = fwd.params
+    params = model.params
 
     def vjp(grad: np.ndarray):
         g_nll, g_att = grad
@@ -348,14 +347,21 @@ def evaluate_examples(model: Model, examples: list[Example],
 
 @dataclass
 class TrainOutcome:
+    """The best checkpoint and one ``log`` entry per epoch.  ``timing`` holds
+    each epoch's wall-clock seconds apart from ``log``, so the log stays
+    byte-identical from run to run."""
+
     checkpoint: Checkpoint
     log: list[dict] = field(default_factory=list)
     attention_skipped: int = 0
+    timing: list[dict] = field(default_factory=list)
 
-    def write_log(self, path: str | Path) -> None:
-        with open(path, "w") as fh:
-            for entry in self.log:
-                fh.write(json.dumps(entry) + "\n")
+    def write_log(self, out: str | Path) -> None:
+        """``epochs.jsonl`` and ``timing.jsonl`` in the directory ``out``."""
+        for name, records in (("epochs.jsonl", self.log), ("timing.jsonl", self.timing)):
+            with open(Path(out) / name, "w") as fh:
+                for entry in records:
+                    fh.write(json.dumps(entry) + "\n")
 
 
 def _batch_gradients(model: Model, batch: list[PreparedExample], config: TrainConfig,
@@ -381,6 +387,7 @@ def _fit(model: Model, train_prep: list[PreparedExample], dev_examples: list[Exa
     best_metrics: dict = {}
     stale = 0
     logs: list[dict] = []
+    timing: list[dict] = []
 
     skipped = sum(1 for p in train_prep if not p.attention_usable)
     for epoch in range(1, config.max_epochs + 1):
@@ -388,6 +395,7 @@ def _fit(model: Model, train_prep: list[PreparedExample], dev_examples: list[Exa
         loss_total = 0.0
         tokens = 0
         norms: list[float] = []
+        started = time.perf_counter()
         for start in range(0, len(order), config.batch_size):
             batch = [train_prep[i] for i in order[start:start + config.batch_size]]
             grads, loss, n_tokens = _batch_gradients(model, batch, config, dropout_rng)
@@ -399,7 +407,10 @@ def _fit(model: Model, train_prep: list[PreparedExample], dev_examples: list[Exa
                          if config.clip_norm is not None else global_norm(grads))
             optimizer.step(model.params, grads)
 
+        trained = time.perf_counter()
         dev = evaluate_examples(model, dev_examples, max_length=config.max_length)
+        timing.append({"epoch": epoch, "train_seconds": trained - started,
+                       "dev_seconds": time.perf_counter() - trained})
         entry = {"epoch": epoch, "train_loss": loss_total / len(train_prep),
                  "dev_ser": dev["ser"], "dev_bleu": dev["bleu"],
                  "grad_norm_preclip_mean": sum(norms) / len(norms),
@@ -427,7 +438,7 @@ def _fit(model: Model, train_prep: list[PreparedExample], dev_examples: list[Exa
     if best_params is not None:
         model.params = best_params
     checkpoint = Checkpoint(model, config.to_json(), best_epoch, best_metrics)
-    return TrainOutcome(checkpoint, logs, skipped)
+    return TrainOutcome(checkpoint, logs, skipped, timing)
 
 
 def train(corpus: Corpus, config: TrainConfig, ontology: Ontology,

@@ -1,5 +1,9 @@
 import json
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +13,8 @@ from hypothesis import strategies as st
 from treenlg.cli import main
 from treenlg.model import load_checkpoint, save_checkpoint
 from treenlg.semantics import delexicalize, load_corpus, load_ontology
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture(scope="module")
@@ -98,6 +104,19 @@ class TestTrain:
         log_lines = (run_dir / "epochs.jsonl").read_text().strip().splitlines()
         entries = [json.loads(line) for line in log_lines]
         assert all({"epoch", "train_loss", "dev_ser", "dev_bleu"} <= set(e) for e in entries)
+
+    def test_timing_written_per_epoch(self, small_checkpoint):
+        """Wall-clock seconds go to their own file, so epochs.jsonl stays
+        byte-identical from run to run."""
+        run_dir = small_checkpoint.parent
+        epochs = [json.loads(line)["epoch"]
+                  for line in (run_dir / "epochs.jsonl").read_text().splitlines()]
+        timing = [json.loads(line) for line in (run_dir / "timing.jsonl").read_text().splitlines()]
+        assert [t["epoch"] for t in timing] == epochs
+        for record in timing:
+            assert set(record) == {"epoch", "train_seconds", "dev_seconds"}
+            assert all(isinstance(record[k], float) and record[k] >= 0.0
+                       for k in ("train_seconds", "dev_seconds"))
 
     def test_idempotent_given_same_seed(self, data_dir, tmp_path):
         args = ["train",
@@ -250,6 +269,23 @@ class TestBadInput:
         assert code == 2
         assert len(err) == 1 and err[0].startswith("error: ")
         assert not (tmp_path / "synth").exists() and not (tmp_path / "g.jsonl").exists()
+
+
+class TestNumericWarnings:
+    def test_overflowing_init_scale_exits_2_with_one_line(self, tiny_run, tmp_path):
+        """numpy's overflow warnings would print lines of their own: the
+        package's finiteness checks report the failure, in one line."""
+        done = subprocess.run(
+            [sys.executable, "-m", "treenlg", "train",
+             "--corpus", str(tiny_run / "corpus.jsonl"),
+             "--ontology", str(tiny_run / "ontology.json"), "--out", str(tmp_path / "run"),
+             "--hidden", "3", "--max-epochs", "1", "--init-scale", "1e200"],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(
+                [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])])})
+        assert done.returncode == 2
+        err = done.stderr.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: non-finite values"), err
 
 
 @pytest.fixture(scope="module")

@@ -11,8 +11,8 @@ from treenlg.decoder import (
     resolve_placeholder,
     step,
 )
-from treenlg.engine import ParamBinding, Tape
-from treenlg.errors import ContractError
+from treenlg.engine import Node, ParamBinding, Tape
+from treenlg.errors import ContractError, DomainError
 from treenlg.semantics import Ontology, REQUEST, SemanticRepresentation, SrEntry
 from treenlg.tree import EncodedTree, LabelStates, build_tree, encode, init_encoder_params
 
@@ -149,6 +149,19 @@ class TestAttend:
         enc = encoded_with_states(tape, {"domain": {}, "act": {}, "slot": {}}, ontology)
         with pytest.raises(ContractError):
             attend(tape.leaf([1.0, 0.0]), enc, ontology)
+
+    def test_non_finite_distributions_rejected(self, ontology):
+        """Scores that overflow to +inf make a NaN softmax: the kernel's one
+        check on its distributions raises instead of returning them."""
+        tape = Tape(recording=False)
+        enc = encoded_with_states(tape, {
+            "domain": {"attraction": [2.0], "hotel": [3.0]},
+            "act": {"inform": [1.0]},
+            "slot": {"area": [1.0]},
+        }, ontology)
+        with np.errstate(all="ignore"), \
+                pytest.raises(DomainError, match="attention distributions"):
+            attend(Node(np.array([1e308])), enc, ontology)
 
     def test_distributions_are_probability_vectors(self, ontology):
         rng = np.random.default_rng(5)

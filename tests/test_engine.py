@@ -327,6 +327,15 @@ class TestParamBinding:
         assert grads["w.b"].tolist() == weights.tolist()
         assert grads["unused"].tolist() == [0.0, 0.0]
 
+    def test_leaves_are_not_checked_again(self, monkeypatch):
+        """Parameters are checked where they are written (``Model``,
+        ``Adam.step``), so binding one to a tape makes no finiteness pass."""
+        calls = []
+        monkeypatch.setattr(treenlg.engine, "_as_f64", lambda value: calls.append(value))
+        t = Tape()
+        w = ParamBinding(t, {"w": np.ones(3)})["w"]
+        assert t.nodes == [w] and w.param == "w" and calls == []
+
     def test_unknown_parameter_rejected(self):
         t = Tape()
         binding = ParamBinding(t, {"a": np.ones(2), "b": np.ones(2)})
@@ -385,6 +394,12 @@ class TestAdam:
         opt = Adam(lr=0.01)
         with pytest.raises(DimensionError):
             opt.step({"w": np.zeros(2)}, {"w": np.zeros(3)})
+
+    def test_non_finite_update_rejected(self):
+        """Parameters are checked where Adam writes them, not on every tape."""
+        opt = Adam(lr=0.01)
+        with np.errstate(invalid="ignore"), pytest.raises(DomainError, match="'w'"):
+            opt.step({"w": np.zeros(2)}, {"w": np.array([1.0, np.nan])})
 
 
 class TestDropout:

@@ -3,9 +3,10 @@ import itertools
 import numpy as np
 import pytest
 
+from treenlg import engine
 from treenlg.decoder import initial_state, make_feedback_input, step
 from treenlg.engine import ParamBinding, Tape
-from treenlg.errors import ContractError
+from treenlg.errors import ContractError, DomainError
 from treenlg.generation import Hypothesis, _rank, beam_decode, greedy_decode
 from treenlg.model import Model, Vocabulary
 from treenlg.semantics import Ontology, SemanticRepresentation, SrEntry
@@ -253,6 +254,60 @@ class TestNothingToAttend:
     def test_full_tree_still_emits_placeholders(self, ontology, sr):
         model = self.pushed_model(ontology)
         assert "@" in greedy_decode(model, sr, max_length=10).top.delex_text
+
+
+def endless_model(ontology):
+    """A model that never ends a sentence: saturated input, output and
+    candidate gates keep every hidden unit above tanh(1), so an end-token
+    output row of -30s keeps the end token last and a placeholder row of 2s
+    makes "@" the favourite, which sends most steps through ``attend``."""
+    model = random_model(ontology, 0)
+    H, b, out = model.hidden, model.params["dec.b"], model.params["dec.out.w"]
+    b[:H] = b[2 * H:4 * H] = 30.0
+    out[model.vocab.eos_id] = -30.0
+    out[model.vocab.index["@"]] = 2.0
+    return model
+
+
+class TestHotLoop:
+    def test_no_checked_values_per_step(self, ontology, sr, monkeypatch):
+        """The decode loop makes no tape values: only the encoder's ops are
+        checked value by value (``_as_f64``), so a 40-step decode makes as
+        many checks as a 10-step one."""
+        model = endless_model(ontology)
+        calls = []
+        as_f64 = engine._as_f64
+        monkeypatch.setattr(engine, "_as_f64", lambda value: calls.append(1) or as_f64(value))
+        counts = {}
+        for max_length in (10, 40):
+            for beam in (1, 3):
+                calls.clear()
+                top = beam_decode(model, sr, beam_size=beam, max_length=max_length).top
+                assert top.truncated and len(top.delex_text.split()) == max_length
+                assert len(top.trace) > 0
+                counts[beam, max_length] = len(calls)
+        assert counts[1, 10] == counts[1, 40] == counts[3, 10] == counts[3, 40] > 0
+        calls.clear()
+        greedy_decode(model, sr, max_length=40)
+        assert len(calls) == counts[1, 40]
+
+
+class TestNonFinite:
+    def test_search_stops_at_a_non_finite_step(self, ontology, sr):
+        """A finite but huge input weight, against embedding entries of 2,
+        makes products of +inf and -inf in every gate sum: the step's check
+        on its word distributions raises instead of ranking NaN scores.
+        (No attention in this mode, so no other check can catch it.)"""
+        model = random_model(ontology, 0, mode="tree")
+        wx = model.params["dec.x"]
+        wx[:] = 1e308
+        wx[:, 1::2] = -1e308
+        model.params["dec.emb"][:] = 2.0
+        for decode in (lambda: greedy_decode(model, sr, max_length=5),
+                       lambda: beam_decode(model, sr, beam_size=3, max_length=5)):
+            with np.errstate(all="ignore"), \
+                    pytest.raises(DomainError, match="word distributions"):
+                decode()
 
 
 class TestValidation:

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from treenlg import training
 from treenlg.engine import Tape
-from treenlg.errors import CompatibilityError, ConfigError, ContractError
+from treenlg.errors import CompatibilityError, ConfigError, ContractError, DomainError
 from treenlg.model import (
     Model,
     PreparedExample,
@@ -325,6 +325,19 @@ class TestCheckpointRoundtrip:
         save_checkpoint(p1, ckpt.model, ckpt.config, ckpt.epoch, ckpt.dev_metrics)
         save_checkpoint(p2, ckpt.model, ckpt.config, ckpt.epoch, ckpt.dev_metrics)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+class TestModelParameters:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_tensor_rejected(self, bad):
+        """A model checks its parameters once, when it is built, so decoding
+        and training tapes need not check them again."""
+        ontology = Ontology({"cafe": {"inform": {"area": "informable"}}})
+        vocab = Vocabulary.build([["a", "@"]], placeholder_only=True)
+        params = Model.create("tree+att", ontology, vocab, 4, rng_stream(0, STREAM_INIT)).params
+        params["dec.h"][3, 1] = bad
+        with pytest.raises(DomainError, match="'dec.h'"):
+            Model("tree+att", 4, ontology, vocab, params)
 
 
 class TestCheckpointValidation:
