@@ -15,10 +15,11 @@ when a ``Model`` is built and after each ``Adam.step``, not again in their
 ``ParamBinding`` leaves.  The decoder kernels check their own outputs.
 
 An op's inputs may be one row ([n]) or a stack of K rows ([K, n]): one
-tape holds a whole minibatch, as a chain of ops whose length does not
-depend on the sentences' lengths.  The adjoint of a weight shared by the
-rows is the sum of the per-row adjoints, formed as one matrix product
-(Δᵀ·X) over the stack.
+tape holds a whole minibatch as a fixed chain, the parameter leaves plus
+four ops (the encoder, the decoder and two views of the decoder's value),
+whatever the batch size and the sentences' lengths.  The adjoint of a
+weight shared by the rows is the sum of the per-row adjoints, formed as
+one matrix product (Δᵀ·X) over the stack.
 """
 
 from __future__ import annotations
@@ -170,40 +171,6 @@ def softmax_last(x: Array) -> Array:
     """Softmax over the last axis, max-subtracted for stability."""
     e = np.exp(x - x.max(axis=-1, keepdims=True))
     return e / e.sum(axis=-1, keepdims=True)
-
-
-def slice_last(tape: Tape, a: Node, start: int, stop: int) -> Node:
-    """Contiguous segment of a tape node along the last axis: the view that
-    exposes one part of a fused op's packed output."""
-    if a.value.ndim == 0 or not 0 <= start <= stop <= a.shape[-1]:
-        raise DimensionError(f"bad slice [{start}:{stop}] of shape {a.shape}")
-    value = a.value[..., start:stop]
-
-    def vjp(g: Array):
-        z = np.zeros_like(a.value)
-        z[..., start:stop] = g
-        return (z,)
-
-    return tape.op(value, (a,), vjp)
-
-
-def take_rows(tape: Tape, a: Node, rows) -> Node:
-    """Rows of a stack ([K, n]; a single row [n] counts as a stack of one):
-    ``rows`` is an int (giving one [n] row), a slice or an index array,
-    whose entries must be distinct on a recording tape."""
-    if a.value.ndim not in (1, 2):
-        raise DimensionError(f"take_rows needs a stack of rows, got shape {a.shape}")
-    stack = a.value.reshape(-1, a.shape[-1])
-    value = stack[rows]
-    if tape.recording and np.ndim(rows) == 1 and len(np.unique(rows)) != len(rows):
-        raise ContractError("take_rows on a recording tape needs distinct rows")
-
-    def vjp(g: Array):
-        z = np.zeros_like(stack)
-        z[rows] = g
-        return (z.reshape(a.shape),)
-
-    return tape.op(value, (a,), vjp)
 
 
 def dropout_mask(shape: tuple[int, ...], rate: float, training: bool,

@@ -4,10 +4,11 @@ mode x fraction x seed experiment matrix.
 The plain objective is the summed negative log-likelihood of the reference
 tokens.  In attention mode, every step whose target is the placeholder also
 contributes the negative log probability of the true domain, act and slot
-under the three attention distributions.  A minibatch runs on one tape:
-its trees are encoded one level at a time, its sentences advance together
-through the decoder one time step at a time, and one backward pass gives
-the gradient of the summed loss.  One sentence is a batch of one.
+under the three attention distributions.  A minibatch runs on one tape
+that holds a fixed chain: the parameter leaves, the encoder op, the
+decoder op and two views of its value.  Inside the decoder op the
+sentences advance together one time step at a time, and one backward pass
+gives the gradient of the summed loss.  One sentence is a batch of one.
 """
 
 from __future__ import annotations
@@ -134,8 +135,8 @@ def teacher_forced(model: Model, prep: PreparedExample, config: TrainConfig,
 def teacher_forced_batch(model: Model, preps: list[PreparedExample], config: TrainConfig,
                          training: bool, rng: np.random.Generator | None = None,
                          recording: bool = True) -> Forward:
-    """Build the training graph of a minibatch on one tape: the encoder's
-    ops, then the whole decoder and both objectives as one op
+    """Build the training graph of a minibatch on one tape: the encoder op,
+    then the whole decoder and both objectives as one op
     (``_decoder_op``) whose value is [NLL, attention term].  ``Forward.nll``
     is a view of the first entry and ``Forward.loss`` of their sum.
 
@@ -187,7 +188,7 @@ def teacher_forced_batch(model: Model, preps: list[PreparedExample], config: Tra
     value, vjp = _decoder_op(model, encoded, layers, tokens)
     parents = [binding[name] for name in ("dec.emb", "dec.x", "dec.h", "dec.s", "dec.b",
                                           "dec.out.w")]
-    total = tape.op(value, (*parents, encoded.embedding, *(s.matrix for s in layers)), vjp)
+    total = tape.op(value, (*parents, encoded.output), vjp)
     nll = tape.op(value[0], (total,), lambda g: (g * np.array([1.0, 0.0]),))
     loss = tape.op(value[0] + value[1], (total,), lambda g: (g * np.ones(2),))
     return Forward(tape, loss, nll, int(lengths.sum()))
@@ -221,13 +222,16 @@ def _decoder_op(model: Model, encoded: EncodedTree, layers: list[LabelStates],
     for each supervised attention layer; the feedback block carries step
     t+1's input adjoint back into step t's attention distributions, and
     through them into the semantic state.  Each weight's gradient is one
-    Δᵀ·X product over the stacked steps (Appleyard et al. 2016)."""
+    Δᵀ·X product over the stacked steps (Appleyard et al. 2016).  The
+    encoder op gets one stacked adjoint, laid out like its value.  The
+    adjoint holds array shapes, not ``encoded``, whose tape holds it."""
     fwd = ParamBinding(Tape(recording=False), model.params)
     view = EncodedTree(encoded.embedding, dict(zip(ATTENDED, layers)), fwd.tape)
     H, feedback_size = model.hidden, model.ontology.feedback_size
     words, out_masks = ((None, None) if tokens.dropout is None
                         else (tokens.dropout[:, 0], tokens.dropout[:, 1]))
     s = encoded.embedding.value
+    encoder_shape = encoded.output.shape
     h = c = np.zeros(s.shape)
     cache, probs, att_picks = [], [], []
     pending = pending_rows = None
@@ -311,14 +315,16 @@ def _decoder_op(model: Model, encoded: EncodedTree, layers: list[LabelStates],
             d_word *= words
         d_emb = np.zeros_like(params["dec.emb"])
         np.add.at(d_emb, tokens.inputs, d_word)
-        grads = [d_emb, d_z.T @ x_all, d_z.T @ h_all, d_z[:, 4 * H:].T @ s_all,
-                 d_z.sum(axis=0), d_logits.T @ h_out, carry_s]
+        # The encoder's adjoint: the embedding rows', then the label rows',
+        # which stay zero without attention or without a placeholder.
+        d_encoder = np.zeros(encoder_shape)
+        d_encoder[:len(carry_s)] = carry_s
         if attended:
             attended = np.concatenate(attended)
-            grads += [np.concatenate(d_sc).T @ attended for d_sc in d_scores]
-        else:
-            grads += [None] * len(layers)
-        return tuple(grads)
+            d_encoder[len(carry_s):] = np.concatenate(
+                [np.concatenate(d_sc).T @ attended for d_sc in d_scores])
+        return (d_emb, d_z.T @ x_all, d_z.T @ h_all, d_z[:, 4 * H:].T @ s_all,
+                d_z.sum(axis=0), d_logits.T @ h_out, d_encoder)
 
     return np.array([nll, att]), vjp
 
@@ -660,7 +666,10 @@ def run_matrix(corpus: Corpus, ontology: Ontology, source: str, target: str,
                workers: int = 1,
                log_fn: Callable[[str], None] | None = None) -> tuple[list[dict], list[dict]]:
     """Adapt source -> target for every mode x fraction x seed cell and
-    aggregate mean/sd per (mode, fraction).
+    aggregate mean/sd per (mode, fraction).  A repeated mode, fraction or
+    seed, and a source without train or dev examples or a target without
+    train, dev or test examples, raise ``ConfigError`` before any cell
+    runs.
 
     ``cell_fn`` replaces the train-adapt-evaluate pipeline when provided
     (used to test the bookkeeping without paying for training)."""
@@ -674,6 +683,9 @@ def run_matrix(corpus: Corpus, ontology: Ontology, source: str, target: str,
         raise ConfigError(f"seeds must be non-negative, got {seeds}")
     if workers < 1:
         raise ConfigError(f"workers must be positive, got {workers}")
+    for name, values in (("modes", modes), ("fractions", fractions), ("seeds", seeds)):
+        if len(set(values)) != len(values):
+            raise ConfigError(f"{name} must not repeat, got {values}")
 
     rows: list[dict] = []
     if cell_fn is not None:
@@ -687,6 +699,12 @@ def run_matrix(corpus: Corpus, ontology: Ontology, source: str, target: str,
     else:
         source_corpus = corpus.filter_domain(source)
         target_corpus = corpus.filter_domain(target)
+        # Checked here: missing data would otherwise stop the sweep only after training.
+        for domain, data, splits in ((source, source_corpus, ("train", "dev")),
+                                     (target, target_corpus, ("train", "dev", "test"))):
+            for split in splits:
+                if not data.split(split):
+                    raise ConfigError(f"domain {domain!r} has no single-domain {split} examples")
         tasks = [(mode, seed, list(fractions), config.to_json(), source_corpus,
                   target_corpus, ontology, source, target)
                  for mode in modes for seed in seeds]

@@ -7,12 +7,13 @@ its children's hidden states and memory cells, gates them together with the
 node's token embedding, and passes the result upward.  The root hidden state
 is the semantic embedding that conditions the decoder.
 
-Encoding runs level by level over a whole minibatch of trees: every tree
-has five levels, and all nodes of one level, across the trees, share one
-fused op with a closed-form adjoint.  Each row's products are taken one row
-at a time (``np.matmul`` over a stack of vectors), so a node's state is
-bitwise the same whatever else shares its level.  The flat baseline's
-affine map is one fused op per minibatch as well.
+A whole minibatch of trees is encoded as one fused op with a closed-form
+adjoint.  Every tree has five levels, and the nodes of one level, across
+the trees, are computed together; the adjoint runs the levels top-down.
+Each row's products are taken one row at a time (``np.matmul`` over a stack
+of vectors), so a node's state is bitwise the same whatever else shares its
+level.  The flat baseline's affine map is one fused op per minibatch as
+well.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .engine import Node, ParamBinding, Tape, init_uniform, logistic, slice_last, take_rows
+from .engine import Node, ParamBinding, Tape, init_uniform, logistic
 from .semantics import (
     NO_SLOT_PROPERTY,
     NO_SLOT_TOKEN,
@@ -148,39 +149,32 @@ class LabelStates:
 
 class EncodedTree:
     """Forward-pass products the decoder consumes, for one tree or for a
-    minibatch of B trees, all nodes of ``tape``: the semantic embedding ([H]
-    for one tree, [B, H] for a batch) and, per attended layer, the label
-    states for layer-wise attention (none in flat mode).
+    minibatch of B trees: the semantic embedding ([H] for one tree, [B, H]
+    for a batch) and, per attended layer, the label states for layer-wise
+    attention (none in flat mode).
 
-    ``levels[d]`` packs [h | c] of every depth-d node as one [n, 2H] node,
-    and ``positions[b][i]`` is the (depth, row) of node i of tree b;
-    ``node_states`` and ``layer_states`` read them for a one-tree encoding
-    as one view per node and per label."""
+    ``output`` is the encoder's one op on ``tape``.  Its value stacks the B
+    root embeddings, then each attended layer's label rows; ``embedding``
+    and the label matrices are unrecorded views of it, so an op reading them
+    takes ``output`` as its parent.  ``levels[d]`` is [h | c] of every
+    depth-d node ([n, 2H]), and ``positions[b][i]`` is the (depth, row) of
+    node i of tree b; ``node_states`` reads them for a one-tree encoding."""
 
     def __init__(self, embedding: Node, labels: dict[str, LabelStates], tape: Tape,
-                 levels: list[Node] | None = None,
+                 output: Node | None = None, levels: list[np.ndarray] | None = None,
                  positions: list[dict[int, tuple[int, int]]] | None = None):
         self.embedding = embedding
         self.labels = labels
         self.tape = tape
+        self.output = output
         self.levels = levels or []
         self.positions = positions or [{}]
 
     @cached_property
     def node_states(self) -> dict[int, tuple[Node, Node]]:
         hidden = self.embedding.shape[-1]
-        out = {}
-        for i, (depth, row) in self.positions[0].items():
-            packed = take_rows(self.tape, self.levels[depth], row)
-            out[i] = (slice_last(self.tape, packed, 0, hidden),
-                      slice_last(self.tape, packed, hidden, 2 * hidden))
-        return out
-
-    @cached_property
-    def layer_states(self) -> dict[str, dict[str, Node]]:
-        return {layer: {label: take_rows(self.tape, self.labels[layer].matrix, j)
-                        for j, label in enumerate(self.labels[layer].labels)}
-                if layer in self.labels else {} for layer in ATTENDED}
+        return {i: (Node(self.levels[depth][row, :hidden]), Node(self.levels[depth][row, hidden:]))
+                for i, (depth, row) in self.positions[0].items()}
 
 
 _DEPTH = {layer: d for d, layer in enumerate(LAYERS)}
@@ -190,20 +184,24 @@ def encode(tree: SemTree, binding: ParamBinding,
            token_index: dict[str, int]) -> EncodedTree:
     """The batch-of-one :func:`encode_batch`, with an [H] embedding."""
     encoded = encode_batch([tree], binding, token_index)
-    encoded.embedding = take_rows(binding.tape, encoded.embedding, 0)
+    encoded.embedding = Node(encoded.embedding.value[0])
     return encoded
 
 
 def encode_batch(trees: list[SemTree], binding: ParamBinding,
                  token_index: dict[str, int]) -> EncodedTree:
-    """Child-sum bottom-up pass over a minibatch of trees, one fused op per
-    level (``_level``), deepest first.  Level d holds the depth-d nodes of
-    every tree, tree after tree, each tree's in node order.  Leaves see zero
-    child sums, so their gates reduce to functions of the token embedding
-    alone.  Then one op per attended layer gathers its label
-    states (``_label_states``)."""
-    tape = binding.tape
-    hidden = binding.params["enc.emb"].shape[1]
+    """Child-sum bottom-up pass over a minibatch of trees as one fused op.
+    Level d holds the depth-d nodes of every tree, tree after tree, each
+    tree's in node order, and the levels run deepest first (``_level``);
+    leaves see zero child sums, so their gates reduce to functions of the
+    token embedding alone.  A label's state sums the h of its nodes.
+
+    The op's adjoint runs the levels top-down.  A level's [h | c] adjoint is
+    its own share of the output adjoint (the root's embedding rows, or its
+    layer's label rows) plus what the level above hands down, and the
+    levels' parameter adjoints are summed root first."""
+    params = binding.params
+    hidden = params["enc.emb"].shape[1]
     members: list[list[tuple[int, TreeNode]]] = [[] for _ in LAYERS]
     positions: list[dict[int, tuple[int, int]]] = []
     groups = {layer: [] for layer in ATTENDED}   # (tree, label, label index, rows)
@@ -221,23 +219,49 @@ def encode_batch(trees: list[SemTree], binding: ParamBinding,
         for (layer, label), (index, rows) in sorted(by_label.items()):
             groups[layer].append((b, label, index, rows))
 
-    levels: list[Node] = [None] * len(LAYERS)
+    levels, adjoints = [None] * len(LAYERS), [None] * len(LAYERS)
     below = None
     for depth in reversed(range(len(LAYERS))):
         tokens = np.array([token_index[n.token] for _, n in members[depth]], dtype=np.intp)
         children = [[positions[b][c][1] for c in n.children] for b, n in members[depth]]
-        below = levels[depth] = _level(binding, tokens, below, children)
+        below, adjoints[depth] = _level(params, tokens, below, children)
+        levels[depth] = below
 
+    # The output rows: the embeddings, then each attended layer's labels.
+    # picks[d]: the level-d rows that feed the output, and the rows they feed.
+    stops = np.cumsum([len(trees)] + [len(groups[layer]) for layer in ATTENDED])
+    value = np.empty((stops[-1], hidden))
+    value[:len(trees)] = levels[0][:, :hidden]
+    picks = {0: (np.arange(len(trees)),) * 2}
     labels = {}
-    for layer in ATTENDED:
-        rows = [g[3] for g in groups[layer]]
-        counts = np.bincount([g[0] for g in groups[layer]], minlength=len(trees))
-        labels[layer] = LabelStates(_label_states(tape, levels[_DEPTH[layer]], rows, hidden),
-                                    [g[1] for g in groups[layer]],
-                                    np.array([g[2] for g in groups[layer]], dtype=np.intp),
-                                    counts)
-    embedding = slice_last(tape, levels[0], 0, hidden)
-    return EncodedTree(embedding, labels, tape, levels, positions)
+    for layer, start, stop in zip(ATTENDED, stops, stops[1:]):
+        group = groups[layer]
+        idx, counts, valid = _padded([g[3] for g in group])
+        value[start:stop] = _ordered_sum(levels[_DEPTH[layer]][:, :hidden], idx, counts)
+        picks[_DEPTH[layer]] = (idx[valid], start + np.nonzero(valid)[0])
+        labels[layer] = LabelStates(Node(value[start:stop]), [g[1] for g in group],
+                                    np.array([g[2] for g in group], dtype=np.intp),
+                                    np.bincount([g[0] for g in group], minlength=len(trees)))
+
+    def vjp(grad: np.ndarray):
+        totals = above = None
+        for depth, (level, adjoint) in enumerate(zip(levels, adjoints)):
+            d = np.zeros_like(level) if above is None else above
+            if depth in picks:
+                rows, out_rows = picks[depth]
+                d[rows, :hidden] += grad[out_rows]
+            *weights, above = adjoint(d)
+            if totals is None:
+                totals = weights   # the root level's, all fresh arrays
+            else:
+                for total, w in zip(totals, weights):
+                    if w is not None:
+                        total += w
+        return tuple(totals)
+
+    parents = tuple(binding[name] for name in ("enc.emb", "enc.e", "enc.h", "enc.b"))
+    output = binding.tape.op(value, parents, vjp)
+    return EncodedTree(Node(value[:len(trees)]), labels, binding.tape, output, levels, positions)
 
 
 def _rowwise(w: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -259,7 +283,7 @@ def _padded(groups: list[list[int]]) -> tuple[np.ndarray, np.ndarray, np.ndarray
 def _ordered_sum(x: np.ndarray, idx: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Per group k, the rows ``x[idx[k, :counts[k]]]`` summed left to right
     (zeros for an empty group)."""
-    total = x[idx[:, 0]]
+    total = x[idx[:, 0]] if idx.shape[1] else np.zeros((len(idx), x.shape[1]))
     total[counts == 0] = 0.0
     for r in range(1, idx.shape[1]):
         more = counts > r
@@ -267,69 +291,53 @@ def _ordered_sum(x: np.ndarray, idx: np.ndarray, counts: np.ndarray) -> np.ndarr
     return total
 
 
-def _level(binding: ParamBinding, tokens: np.ndarray, below: Node | None,
-           children: list[list[int]]) -> Node:
-    """One tree level's child-sum LSTM transitions as one op.  Row k is the
-    node whose token has embedding row ``tokens[k]`` and whose children are
-    rows ``children[k]`` of the level ``below`` (packed [h | c]): the
-    children's h and c are summed in order, then z = E·e + b (+ H·Σh), the
-    gates i, f, o, g, c = i·g (+ f·Σc) and h = o·tanh(c).  The level holds
-    [h | c] per row; the weight adjoints are one Δᵀ·X product each.  A row
-    without children (a leaf, or the root of an empty SR) sees zero sums."""
-    emb, w_e, b = binding["enc.emb"], binding["enc.e"], binding["enc.b"]
+def _level(params: dict[str, np.ndarray], tokens: np.ndarray, below: np.ndarray | None,
+           children: list[list[int]]):
+    """One tree level's child-sum LSTM transitions.  Row k is the node whose
+    token has embedding row ``tokens[k]`` and whose children are rows
+    ``children[k]`` of the level ``below`` ([h | c] per row; None under the
+    leaves): the children's h and c are summed in order, then
+    z = E·e + b (+ H·Σh), the gates i, f, o, g, c = i·g (+ f·Σc) and
+    h = o·tanh(c).
+
+    Returns the level's [h | c] and its adjoint, which maps the [h | c]
+    adjoint to those of ``enc.emb``, ``enc.e``, ``enc.h`` (None under the
+    leaves) and ``enc.b``, each weight's as one Δᵀ·X product, and of the
+    level below (None under the leaves)."""
+    emb, w_e, w_h, b = (params[name] for name in ("enc.emb", "enc.e", "enc.h", "enc.b"))
     H = emb.shape[1]
-    e = emb.value[tokens]
-    z = _rowwise(w_e.value, e) + b.value
-    inner = below is not None and below.shape[0] > 0
-    if inner:
-        w_h = binding["enc.h"]
+    e = emb[tokens]
+    z = _rowwise(w_e, e) + b
+    if below is not None:
         idx, counts, valid = _padded(children)
-        sums = _ordered_sum(below.value, idx, counts)
+        sums = _ordered_sum(below, idx, counts)
         h_sum, c_sum = np.ascontiguousarray(sums[:, :H]), sums[:, H:]
-        z = z + _rowwise(w_h.value, h_sum)
+        z = z + _rowwise(w_h, h_sum)
         # Every row below has exactly one parent here.
-        parent_of = np.empty(below.shape[0], dtype=np.intp)
+        parent_of = np.empty(len(below), dtype=np.intp)
         parent_of[idx[valid]] = np.nonzero(valid)[0]
     ifo = logistic(z[:, :3 * H])
     i, f, o = ifo[:, :H], ifo[:, H:2 * H], ifo[:, 2 * H:]
     g = np.tanh(z[:, 3 * H:])
     c = i * g
-    if inner:
+    if below is not None:
         c = c + f * c_sum
     tc = np.tanh(c)
 
-    def vjp(grad: np.ndarray):
+    def adjoint(grad: np.ndarray):
         gh, gc = grad[:, :H], grad[:, H:]
         dc = gc + gh * o * (1.0 - tc * tc)
-        dz_f = dc * c_sum * f * (1.0 - f) if inner else np.zeros_like(dc)
+        dz_f = dc * c_sum * f * (1.0 - f) if below is not None else np.zeros_like(dc)
         dz = np.concatenate([dc * g * i * (1.0 - i), dz_f,
                              gh * tc * o * (1.0 - o), dc * i * (1.0 - g * g)], axis=1)
-        d_emb = np.zeros_like(emb.value)
-        np.add.at(d_emb, tokens, dz @ w_e.value)
-        grads = [d_emb, dz.T @ e, dz.sum(axis=0)]
-        if inner:
-            d_sums = np.concatenate([dz @ w_h.value, dc * f], axis=1)
-            grads += [dz.T @ h_sum, d_sums[parent_of]]
-        return tuple(grads)
+        d_emb = np.zeros_like(emb)
+        np.add.at(d_emb, tokens, dz @ w_e)
+        if below is None:
+            return d_emb, dz.T @ e, None, dz.sum(axis=0), None
+        d_sums = np.concatenate([dz @ w_h, dc * f], axis=1)
+        return d_emb, dz.T @ e, dz.T @ h_sum, dz.sum(axis=0), d_sums[parent_of]
 
-    parents = (emb, w_e, b) + ((w_h, below) if inner else ())
-    return binding.tape.op(np.concatenate([o * tc, c], axis=1), parents, vjp)
-
-
-def _label_states(tape: Tape, level: Node, groups: list[list[int]], hidden: int) -> Node:
-    """[labels, H]: row j sums the h of the level rows ``groups[j]``, in
-    order."""
-    if not groups:
-        return tape.leaf(np.zeros((0, hidden)))
-    idx, counts, valid = _padded(groups)
-    rows, label_of = idx[valid], np.nonzero(valid)[0]
-
-    def vjp(grad: np.ndarray):
-        d = np.zeros_like(level.value)
-        d[rows, :hidden] = grad[label_of]
-        return (d,)
-
-    return tape.op(_ordered_sum(level.value[:, :hidden], idx, counts), (level,), vjp)
+    return np.concatenate([o * tc, c], axis=1), adjoint
 
 
 def flat_shapes(ontology: Ontology, hidden: int) -> dict[str, tuple[int, ...]]:
@@ -356,7 +364,7 @@ def encode_flat(sr: SemanticRepresentation, ontology: Ontology,
                 binding: ParamBinding) -> EncodedTree:
     """The batch-of-one :func:`encode_flat_batch`, with an [H] embedding."""
     encoded = encode_flat_batch([sr], ontology, binding)
-    encoded.embedding = take_rows(binding.tape, encoded.embedding, 0)
+    encoded.embedding = Node(encoded.embedding.value[0])
     return encoded
 
 
@@ -373,4 +381,5 @@ def encode_flat_batch(srs: list[SemanticRepresentation], ontology: Ontology,
         d = grad * (1.0 - y * y)
         return d.T @ x, d.sum(axis=0)
 
-    return EncodedTree(binding.tape.op(y, (w, b), vjp), {}, binding.tape)
+    output = binding.tape.op(y, (w, b), vjp)
+    return EncodedTree(Node(output.value), {}, binding.tape, output)

@@ -250,6 +250,8 @@ class TestBadInput:
         ["sweep", "--fractions", "abc"], ["sweep", "--fractions", "0.1,,"],
         ["sweep", "--fractions", "1.5"], ["sweep", "--seeds", "x"],
         ["sweep", "--seeds", "-1"], ["sweep", "--workers", "0"], ["sweep", "--workers", "-2"],
+        ["sweep", "--seeds", "0,0"], ["sweep", "--modes", "tree,tree"],
+        ["sweep", "--fractions", "0.5,0.5"],
         ["synth", "--seed", "-1"], ["synth", "--srs-per-domain", "-3"],
         ["gradcheck", "--hidden", "0"], ["gradcheck", "--step", "0"],
         ["gradcheck", "--tolerance", "nan"], ["train", "--seed", "-1"],

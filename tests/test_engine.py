@@ -36,8 +36,6 @@ from treenlg.engine import (
     dropout_mask,
     global_norm,
     grad_check,
-    slice_last,
-    take_rows,
 )
 from treenlg.errors import ContractError, DimensionError, DomainError, ParameterError
 
@@ -262,36 +260,6 @@ class TestBackward:
         loss = local_sum(other, other.leaf([1.0, 2.0]))
         with pytest.raises(ContractError, match="not on this tape"):
             Tape().backward(loss)
-
-    def test_slice_last_routes_gradient_to_its_segment(self):
-        t = Tape()
-        x = np.array([[1.0, 2.0, 3.0, 4.0], [5.0, 6.0, 7.0, 8.0]])
-        xn = t.leaf(x, param="x")
-        part = slice_last(t, xn, 1, 3)
-        assert part.value.tolist() == [[2.0, 3.0], [6.0, 7.0]]
-        t.backward(local_sum(t, part))
-        assert t.param_grads({"x": x})["x"].tolist() == [[0, 1, 1, 0], [0, 1, 1, 0]]
-        with pytest.raises(DimensionError):
-            slice_last(t, xn, 3, 5)
-
-    def test_take_rows_routes_gradient_to_its_rows(self):
-        t = Tape()
-        x = np.arange(8.0).reshape(4, 2)
-        xn = t.leaf(x, param="x")
-        picked = take_rows(t, xn, [3, 1])
-        head = take_rows(t, xn, slice(0, 2))
-        one = take_rows(t, xn, 2)
-        assert picked.value.tolist() == [[6.0, 7.0], [2.0, 3.0]]
-        assert one.value.tolist() == [4.0, 5.0]
-        loss = local_add(t, local_add(t, local_sum(t, picked), local_sum(t, head)),
-                         local_sum(t, one))
-        t.backward(loss)
-        assert t.param_grads({"x": x})["x"].tolist() == [[1, 1], [2, 2], [1, 1], [1, 1]]
-        # A one-row [n] node counts as a stack of one.
-        assert take_rows(t, t.leaf([1.0, 2.0]), [0]).shape == (1, 2)
-        with pytest.raises(ContractError):
-            take_rows(t, xn, [1, 1])
-        assert take_rows(Tape(recording=False), xn, [1, 1]).shape == (2, 2)
 
     def test_indexing_ops_roundtrip_gradients(self):
         m = np.arange(6.0).reshape(2, 3)

@@ -183,7 +183,8 @@ class TestEncoder:
     def test_states_and_gradients_match(self, cases):
         """Node states (h and c), label states and the embedding agree, and
         so does every encoder-parameter gradient of a random weighting of
-        the embedding and the label states."""
+        the encoder op's whole output: the embedding row and every label
+        row."""
         for mode, hidden, model, _, srs in cases:
             rng = np.random.default_rng(hidden)
             for n, sr in enumerate(srs):
@@ -197,17 +198,19 @@ class TestEncoder:
                     assert rel_err(c.value, new.node_states[i][1].value) <= TOL, (where, i)
                 labelled = [(layer, label) for layer, states in ref.layer_states.items()
                             for label in sorted(states)]
-                assert labelled == [(layer, label) for layer, states in new.layer_states.items()
-                                    for label in sorted(states)], where
-                outputs = [[enc.embedding] + [enc.layer_states[layer][label]
+                # The output stacks the embedding, then each layer's labels.
+                assert labelled == [(layer, label) for layer, states in new.labels.items()
+                                    for label in states.labels], where
+                ref_rows = [ref.embedding] + [ref.layer_states[layer][label]
                                               for layer, label in labelled]
-                           for _, _, enc in encoded]
-                for a, b in zip(*outputs):
-                    assert rel_err(a.value, b.value) <= TOL, where
-                weights = [rng.normal(size=hidden) for _ in outputs[0]]
+                assert new.output.shape == (len(ref_rows), hidden), where
+                for k, node in enumerate(ref_rows):
+                    assert rel_err(node.value, new.output.value[k]) <= TOL, (where, k)
+                weights = rng.normal(size=new.output.shape)
                 grads = []
-                for (tape, binding, _), nodes in zip(encoded, outputs):
-                    tape.backward(weighted_sum(tape, nodes, weights))
+                for (tape, binding, _), nodes, node_weights in zip(
+                        encoded, (ref_rows, [new.output]), (list(weights), [weights])):
+                    tape.backward(weighted_sum(tape, nodes, node_weights))
                     grads.append(tape.param_grads(binding.params))
                 compare_grads(*grads, where)
 
@@ -333,7 +336,7 @@ class TestMinibatch:
                 alone = encode(tree, ParamBinding(Tape(), model.params), model.token_index)
                 for i, (h, c) in alone.node_states.items():
                     depth, row = batch.positions[b][i]
-                    packed = batch.levels[depth].value[row]
+                    packed = batch.levels[depth][row]
                     assert np.array_equal(packed, np.concatenate([h.value, c.value])), \
                         (mode, hidden, b, i)
                 assert np.array_equal(batch.embedding.value[b], alone.embedding.value)

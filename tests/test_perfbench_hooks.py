@@ -1,7 +1,8 @@
 """perfbench's tracer wraps package attributes by name (``perfbench/tracing.py``):
 a rename there would break ``perfbench/run.py --trace 1`` without any
-package test noticing.  This runs one traced training pass and one traced
-greedy decode through both of its layers of wrappers."""
+package test noticing.  This runs one traced training pass, one traced
+greedy decode and one traced beam-10 decode through both of its layers of
+wrappers."""
 
 import importlib
 from pathlib import Path
@@ -39,11 +40,16 @@ def test_probes_and_tracer_see_training_and_decoding(tracing):
         fwd.tape.backward(fwd.loss)
         fwd.tape.param_grads(model.params)
         generation.greedy_decode(model, sr, max_length=5)
+        # Beam 10 as a keyword: the tracer then reads the tape that
+        # ``Model.encode_sr`` was given, which keeps no nodes.
+        generation.beam_decode(model, sr, beam_size=10, max_length=5)
 
     for name in ("training.teacher_forced", "engine.backward", "engine.param_grads",
-                 "decoder.step", "decoder.attend", "generation.greedy_decode"):
+                 "decoder.step", "decoder.attend", "generation.greedy_decode",
+                 "generation.beam_decode", "model.encode_sr", "tree.encode"):
         assert name in tracer.names, name
     assert tracer.tape_nodes == [len(fwd.tape.nodes)]
+    assert tracer.decode_tape_nodes == [0]
     assert tracer.per_layer()["decoder.step_calls_per_sentence"] > 0
     for (owner, attr), original in zip(patched, originals):
         assert getattr(owner, attr) is original, attr

@@ -12,8 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treenlg import training
-from treenlg.engine import Tape
+from treenlg import engine, training
+from treenlg.engine import ParamBinding, Tape
 from treenlg.errors import CompatibilityError, ConfigError, ContractError, DomainError
 from treenlg.model import (
     Model,
@@ -176,20 +176,40 @@ class TestTapeLifetime:
 
 class TestTapeShape:
     def test_node_count_does_not_grow_with_sentence_length(self, small_corpus):
-        """The encoder's ops, the decoder op and its two views: a fixed
-        chain, however many steps the sentences run."""
+        """The parameter leaves, the encoder op, the decoder op and its two
+        views: a fixed chain, whatever the batch size and however many
+        steps the sentences run.  14 nodes in the tree modes, 12 in flat
+        mode."""
         corpus, ontology = small_corpus
-        config = small_config()
-        long = [prepare_example(e, "tree+att", ontology) for e in corpus.split("train")[:16]]
-        short = [PreparedExample(p.example, ["hi"]) for p in long]
-        vocab = Vocabulary.build([p.tokens for p in long + short], placeholder_only=True)
-        model = Model.create("tree+att", ontology, vocab, config.hidden,
-                             rng_stream(0, STREAM_INIT))
-        tapes = [training.teacher_forced_batch(model, batch, config, training=False).tape
-                 for batch in (short, long)]
-        assert max(len(p.tokens) for p in long) > 10
-        assert any(p.labels for p in long)
-        assert len(tapes[0].nodes) == len(tapes[1].nodes) <= 30
+        for mode, nodes in (("tree+att", 14), ("tree", 14), ("flat-baseline", 12)):
+            config = small_config(mode=mode)
+            long = [prepare_example(e, mode, ontology) for e in corpus.split("train")[:16]]
+            short = [PreparedExample(p.example, ["hi"]) for p in long]
+            vocab = Vocabulary.build([p.tokens for p in long + short],
+                                     placeholder_only=mode == "tree+att")
+            model = Model.create(mode, ontology, vocab, config.hidden,
+                                 rng_stream(0, STREAM_INIT))
+            assert max(len(p.tokens) for p in long) > 10
+            assert any(p.labels for p in long) == (mode == "tree+att")
+            assert len(model.params) + 4 == nodes
+            for batch in (short[:1], long[:1], short, long):
+                tape = training.teacher_forced_batch(model, batch, config, training=False).tape
+                assert len(tape.nodes) == nodes, (mode, len(batch))
+
+    def test_one_sr_encoding_checks_one_value(self, small_corpus, monkeypatch):
+        """Encoding an SR for decoding registers one op on a non-recording
+        tape, whose value is the only one checked for NaN/Inf."""
+        corpus, ontology = small_corpus
+        vocab = Vocabulary.build([["a"]], placeholder_only=True)
+        model = Model.create("tree+att", ontology, vocab, 6, rng_stream(0, STREAM_INIT))
+        calls = []
+        as_f64 = engine._as_f64
+        monkeypatch.setattr(engine, "_as_f64", lambda value: calls.append(1) or as_f64(value))
+        binding = ParamBinding(Tape(recording=False), model.params)
+        encoded = model.encode_sr(corpus.split("train")[0].sr, binding)
+        assert calls == [1]
+        assert binding.tape.nodes == []
+        assert encoded.embedding.shape == (6,)
 
 
 class TestTrainLoop:
@@ -551,6 +571,40 @@ class TestRunMatrix:
             run_matrix(corpus, ontology, "restaurant", "hotel", fractions=[],
                        seeds=[0], modes=["tree"], config=small_config(),
                        cell_fn=self.stub)
+
+    @pytest.mark.parametrize("grid", [
+        dict(fractions=[0.5, 0.5], seeds=[0], modes=["tree"]),
+        dict(fractions=[0.5], seeds=[0, 0], modes=["tree"]),
+        dict(fractions=[0.5], seeds=[0], modes=["tree", "tree"]),
+        dict(fractions=[0.5, 0.5], seeds=[0, 0], modes=["tree", "tree"])])
+    def test_repeated_values_rejected(self, small_corpus, grid):
+        """A repeated value would count one cell as several runs."""
+        corpus, ontology = small_corpus
+        with pytest.raises(ConfigError, match="must not repeat"):
+            run_matrix(corpus, ontology, "restaurant", "hotel", config=small_config(),
+                       cell_fn=self.stub, **grid)
+
+    @pytest.mark.parametrize("source,target,drop,message", [
+        ("restaurant", "hotel", ("hotel", "test"), "'hotel' has no single-domain test"),
+        ("restaurant", "hotel", ("hotel", "dev"), "'hotel' has no single-domain dev"),
+        ("restaurant", "hotel", ("hotel", "train"), "'hotel' has no single-domain train"),
+        ("restaurant", "hotel", ("restaurant", "dev"), "'restaurant' has no single-domain dev"),
+        ("restaurant", "hotle", None, "'hotle' has no single-domain train")])
+    def test_missing_data_rejected_before_training(self, small_corpus, monkeypatch,
+                                                   source, target, drop, message):
+        corpus, ontology = small_corpus
+        if drop is not None:
+            domain, split = drop
+            corpus = Corpus([e for e in corpus.examples
+                             if not (e.split == split and domain in e.sr.domains)], ontology)
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(training, "train", no_training)
+        with pytest.raises(ConfigError, match=message):
+            run_matrix(corpus, ontology, source, target, fractions=[0.5], seeds=[0],
+                       modes=["tree"], config=small_config())
 
 
 class TestSweepProgress:

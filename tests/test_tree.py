@@ -222,6 +222,9 @@ class TestEncode:
         assert not np.array_equal(e1.embedding.value, e2.embedding.value)
 
     def test_embedding_gradients_match_finite_differences(self, ontology):
+        """A random weighting of the encoder op's whole output, the
+        embedding and every label-state row, so the label rows' adjoint is
+        checked too."""
         rng = np.random.default_rng(3)
         params = init_encoder_params(ontology, hidden=3, rng=rng)
         index = token_index_of(ontology)
@@ -229,17 +232,18 @@ class TestEncode:
                    ("attraction", "inform", "type", "colleges"),
                    ("attraction", "request", "price", REQUEST))
         tree = build_tree(sr, ontology)
-        probe = rng.normal(size=3)
+        tape = Tape()
+        enc = encode(tree, ParamBinding(tape, params), index)
+        # The embedding, then one domain, two acts and two slots.
+        assert enc.output.shape == (6, 3)
+        probe = rng.normal(size=enc.output.shape)
 
         def loss_value():
             tape = Tape(recording=False)
             enc = encode(tree, ParamBinding(tape, params), index)
-            return float(np.dot(enc.embedding.value, probe))
+            return float(np.sum(enc.output.value * probe))
 
-        tape = Tape()
-        enc = encode(tree, ParamBinding(tape, params), index)
-        weighted = probe_dot(tape, enc.embedding, probe)
-        tape.backward(weighted)
+        tape.backward(probe_dot(tape, enc.output, probe))
         grads = tape.param_grads(params)
 
         h = 1e-5
@@ -259,9 +263,9 @@ class TestEncode:
                 assert abs(gflat[i] - numeric) / denom <= 1e-4
 
 
-def probe_dot(tape, node, const_vec):
-    """<node, const_vec> as one op on the tape."""
-    return tape.op(np.dot(node.value, const_vec), (node,), lambda g: (g * const_vec,))
+def probe_dot(tape, node, const):
+    """<node, const> as one op on the tape."""
+    return tape.op(np.sum(node.value * const), (node,), lambda g: (g * const,))
 
 
 class TestFlatBaseline:
