@@ -84,6 +84,15 @@ def _out_dir(path: str) -> Path:
     return out
 
 
+def _missing(path: str | None) -> list[Path]:
+    """``path`` and its ancestors that do not exist yet, deepest first."""
+    missing, here = [], path and Path(path).absolute()
+    while here and not here.exists() and here != here.parent:
+        missing.append(here)
+        here = here.parent
+    return missing
+
+
 def _save_outcome(outcome, out: Path, summary: str) -> None:
     checkpoint = outcome.checkpoint
     save_checkpoint(out / "checkpoint.ckpt", checkpoint.model, checkpoint.config,
@@ -404,20 +413,23 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    created = _missing(getattr(args, "out", None))
     try:
         # Overflow and invalid-value warnings would print lines of their
         # own; the package's finiteness checks report such a failure.
         with np.errstate(all="ignore"):
-            return args.fn(args)
-    except ModeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except CompatibilityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+            code = args.fn(args)
     except (TreeNlgError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        code = 4 if isinstance(exc, ModeError) else 3 if isinstance(exc, CompatibilityError) else 2
+    # A failed command removes the --out directory (and parents) it created
+    # and left empty; one that existed before is never touched.
+    for path in created if code else []:
+        try:
+            path.rmdir()
+        except OSError:  # a file, or not empty
+            break
+    return code
 
 
 def entry() -> None:

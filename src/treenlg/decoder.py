@@ -16,8 +16,10 @@ into the next step's input as a record of what was just generated.
 this math, for training and decoding alike.  Each computes its forward pass
 in numpy over one row ([n] inputs) or a stack of K rows ([K, n]): the
 hypotheses of a beam, or the live sentences of a training minibatch.  They
-are forward-only: they refuse a recording tape, read the weights from
-``binding.params`` and return unrecorded nodes.  Once per call, ``step``
+are forward-only and pass plain arrays among themselves: the decoder state,
+the input row, the attention distributions.  ``step`` and
+``make_feedback_input`` read the weights from ``binding.params`` and refuse
+a recording tape; ``attend`` touches no tape.  Once per call, ``step``
 checks its word distributions and ``attend`` its attention distributions
 for NaN/Inf (``DomainError``).  Their one adjoint is the teacher-forced
 decoder op in ``training``, which runs them over a whole minibatch and
@@ -85,22 +87,24 @@ class DecoderState:
     also holds that step's activations (i, f, o, g, r, w, d, tanh c, tanh s),
     which the teacher-forced decoder's adjoint reads."""
 
-    h: Node
-    c: Node
-    s: Node
+    h: np.ndarray
+    c: np.ndarray
+    s: np.ndarray
     acts: tuple[np.ndarray, ...] | None = None
 
     def take(self, rows) -> "DecoderState":
         """The given rows of the state, as one stack; a one-hypothesis state
         counts as a stack of one, and a row may repeat (a beam keeps several
         children of one parent)."""
-        return DecoderState(*(Node(n.value.reshape(-1, n.shape[-1])[rows])
-                              for n in (self.h, self.c, self.s)))
+        return DecoderState(*(v.reshape(-1, v.shape[-1])[rows] for v in (self.h, self.c, self.s)))
 
 
 def initial_state(encoded: EncodedTree, hidden: int, binding: ParamBinding) -> DecoderState:
-    zeros = Node(np.zeros(encoded.embedding.shape[:-1] + (hidden,)))
-    return DecoderState(h=zeros, c=zeros, s=encoded.embedding)
+    """Zero hidden state and memory cell, and the semantic embedding as the
+    semantic state.  ``binding`` is unused; the acceptance suite passes it."""
+    s = encoded.embedding.value
+    zeros = np.zeros(s.shape[:-1] + (hidden,))
+    return DecoderState(h=zeros, c=zeros, s=s)
 
 
 def _forward_only(tape: Tape) -> None:
@@ -119,11 +123,13 @@ def _check_stack(*values: np.ndarray) -> None:
                                  f"{[u.shape for u in values]}")
 
 
-def step(binding: ParamBinding, x: Node, state: DecoderState,
+def step(binding: ParamBinding, x: np.ndarray, state: DecoderState,
          mask: np.ndarray | None = None) -> tuple[DecoderState, Node]:
     """One decoder step for one row ([H] inputs) or for a stack of them
     ([K, H]): returns the new state and the word distribution(s).  ``mask``
-    is the step output's inverted-dropout mask, if any.
+    is the step output's inverted-dropout mask, if any.  The distributions
+    come as an unrecorded ``Node``, because the acceptance suite reads them
+    as ``.value``.
 
     All seven gates come from one product with each gate stack for the input
     and hidden paths, and a third against the previous semantic state for
@@ -133,12 +139,12 @@ def step(binding: ParamBinding, x: Node, state: DecoderState,
     _forward_only(binding.tape)
     wx, wh, ws, b = (binding.params[name] for name in ("dec.x", "dec.h", "dec.s", "dec.b"))
     H = wh.shape[1]
-    x_v, h_v, c_v, s_v = x.value, state.h.value, state.c.value, state.s.value
-    _check_stack(x_v, h_v, c_v, s_v)
-    if x_v.shape[-1] != wx.shape[1] or any(v.shape[-1] != H for v in (h_v, c_v, s_v)):
+    h_v, c_v, s_v = state.h, state.c, state.s
+    _check_stack(x, h_v, c_v, s_v)
+    if x.shape[-1] != wx.shape[1] or any(v.shape[-1] != H for v in (h_v, c_v, s_v)):
         raise DimensionError(f"decoder step expects input width {wx.shape[1]} and state "
-                             f"width {H}, got {x_v.shape} and {h_v.shape}")
-    z = x_v @ wx.T + h_v @ wh.T + b
+                             f"width {H}, got {x.shape} and {h_v.shape}")
+    z = x @ wx.T + h_v @ wh.T + b
     ifo = logistic(z[..., :3 * H])
     i, f, o = ifo[..., :H], ifo[..., H:2 * H], ifo[..., 2 * H:]
     g = np.tanh(z[..., 3 * H:4 * H])
@@ -153,7 +159,7 @@ def step(binding: ParamBinding, x: Node, state: DecoderState,
     h_out = h if mask is None else h * mask
     probs = check_finite(softmax_last(h_out @ binding.params["dec.out.w"].T),
                          "word distributions")
-    return DecoderState(Node(h), Node(c), Node(s), (i, f, o, g, r, w, d, tc, ts)), Node(probs)
+    return DecoderState(h, c, s, (i, f, o, g, r, w, d, tc, ts)), Node(probs)
 
 
 @dataclass
@@ -161,15 +167,15 @@ class AttentionDists:
     """Distributions over the full canonical label sets; labels the SR did
     not activate hold probability zero."""
 
-    domain: Node
-    act: Node
-    slot: Node
+    domain: np.ndarray
+    act: np.ndarray
+    slot: np.ndarray
 
 
 _LAYER_SIZE = {"domain": "domains", "act": "acts", "slot": "slots"}
 
 
-def attend(s: Node, encoded: EncodedTree, ontology: Ontology,
+def attend(s: np.ndarray, encoded: EncodedTree, ontology: Ontology,
            trees=None) -> AttentionDists:
     """Score semantic states against their trees' activated label states and
     normalise per layer.
@@ -179,9 +185,8 @@ def attend(s: Node, encoded: EncodedTree, ontology: Ontology,
     Per layer, the scores are one product with the layer's [labels, H]
     label states, and each row's softmax over its tree's labels is
     scattered to the layer's canonical label positions."""
-    _forward_only(encoded.tape)
-    _check_stack(s.value)
-    n_rows = 1 if s.value.ndim == 1 else s.shape[0]
+    _check_stack(s)
+    n_rows = 1 if s.ndim == 1 else s.shape[0]
     which = np.zeros(n_rows, dtype=np.intp) if trees is None else np.asarray(trees, np.intp)
     if which.shape != (n_rows,):
         raise DimensionError(f"{which.size} trees for {n_rows} attending rows")
@@ -191,14 +196,14 @@ def attend(s: Node, encoded: EncodedTree, ontology: Ontology,
         if states is None or not np.all(states.counts[which]):
             raise ContractError(f"no activated {layer} nodes to attend over")
         size = len(getattr(ontology, _LAYER_SIZE[layer]))
-        out[layer] = Node(check_finite(_layer_attention(s.value, states, which, size),
-                                       "attention distributions"))
+        out[layer] = check_finite(_layer_attention(s, states, which, size),
+                                  "attention distributions")
     return AttentionDists(out["domain"], out["act"], out["slot"])
 
 
 def _layer_attention(s: np.ndarray, states: LabelStates, which: np.ndarray,
                      size: int) -> np.ndarray:
-    m = states.matrix.value
+    m = states.matrix
     if m.shape[1:] != s.shape[-1:]:
         raise DimensionError(f"attention state width {s.shape} vs label states {m.shape}")
     # Each row scores every label row and masks out other trees' labels.
@@ -235,12 +240,6 @@ class AttentionTrace:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def matrix(self, layer: str) -> np.ndarray:
-        attr = f"{layer}_dist"
-        if not self.entries:
-            return np.zeros((0, 0))
-        return np.stack([getattr(e, attr) for e in self.entries])
-
     def to_json(self, ontology: Ontology) -> dict:
         return {
             "labels": {"domain": list(ontology.domains),
@@ -276,7 +275,7 @@ def resolve_placeholder(step_index: int, domain_dist: np.ndarray, act_dist: np.n
 
 def make_feedback_input(word_id, dists: AttentionDists | None,
                         binding: ParamBinding, feedback_size: int,
-                        mask: np.ndarray | None = None, rows=None) -> Node:
+                        mask: np.ndarray | None = None, rows=None) -> np.ndarray:
     """Decoder input: word embedding plus the feedback block, which holds the
     previous step's three attention distributions right after a placeholder
     was emitted and zeros at every other step.
@@ -295,7 +294,7 @@ def make_feedback_input(word_id, dists: AttentionDists | None,
         word = word * mask
     feedback = np.zeros(word.shape[:-1] + (feedback_size,))
     if dists is not None:
-        parts = [p.value for p in (dists.domain, dists.act, dists.slot)]
+        parts = [dists.domain, dists.act, dists.slot]
         _check_stack(*parts)
         block = np.concatenate(parts, axis=-1)
         at = Ellipsis if rows is None else rows
@@ -303,4 +302,4 @@ def make_feedback_input(word_id, dists: AttentionDists | None,
             raise DimensionError(f"feedback block of shape {block.shape} for rows of "
                                  f"shape {feedback[at].shape}")
         feedback[at] = block
-    return Node(np.concatenate([word, feedback], axis=-1))
+    return np.concatenate([word, feedback], axis=-1)

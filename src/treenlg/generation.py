@@ -25,8 +25,11 @@ The search rule:
 Greedy decoding is the same search at beam size 1.  In attention mode the
 emitted word is the bare placeholder "@"; the step's semantic state
 immediately queries the encoded tree, the argmax triple names the token,
-and the three distributions ride along as the next step's input.  Scores
-are plain sums of chosen-token log probabilities, unnormalised.
+and the three distributions ride along as the next step's input: the search
+keeps the last ``attend`` result and the rows that emitted "@", and passes
+them to ``make_feedback_input(..., rows=...)`` as teacher forcing does.
+The state, inputs and distributions are plain arrays.  Scores are plain
+sums of chosen-token log probabilities, unnormalised.
 """
 
 from __future__ import annotations
@@ -36,7 +39,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .decoder import (
-    AttentionDists,
     AttentionTrace,
     PLACEHOLDER,
     TraceEntry,
@@ -46,10 +48,10 @@ from .decoder import (
     resolve_placeholder,
     step,
 )
-from .engine import Node, ParamBinding, Tape
+from .engine import ParamBinding, Tape
 from .errors import ContractError
 from .model import Model
-from .semantics import Ontology, SemanticRepresentation, lexicalize, token_surface
+from .semantics import SemanticRepresentation, lexicalize, token_surface
 
 DEFAULT_BEAM_SIZE = 10
 DEFAULT_MAX_LENGTH = 80
@@ -63,7 +65,6 @@ class Hypothesis:
     token_ids: tuple[int, ...]
     score: float
     trace: tuple[TraceEntry, ...] = ()
-    finished: bool = False
     truncated: bool = False
 
 
@@ -93,8 +94,7 @@ class GenerationResult:
             "hyps": [{"delex": h.delex_text, "text": h.surface_text,
                       "score": h.score, "flags": h.flags, "truncated": h.truncated}
                      for h in self.hypotheses],
-            "trace": AttentionTrace(list(self.top.trace.entries)).to_json(ontology)
-            if self.top.trace.entries else None,
+            "trace": self.top.trace.to_json(ontology) if self.top.trace.entries else None,
         }
 
 
@@ -135,23 +135,6 @@ def _rank(model: Model, sr: SemanticRepresentation, hyps: list[Hypothesis],
     return GenerationResult(ranked)
 
 
-def _feedback(live: list[Hypothesis], placeholder_id: int | None,
-              ontology: Ontology) -> AttentionDists | None:
-    """The feedback block of the stack: the attention distributions of the last
-    word for hypotheses that just emitted a placeholder, zeros elsewhere."""
-    rows = [k for k, h in enumerate(live)
-            if h.token_ids and h.token_ids[-1] == placeholder_id]
-    if not rows:
-        return None
-    blocks = [np.zeros((len(live), len(labels)))
-              for labels in (ontology.domains, ontology.acts, ontology.slots)]
-    for k in rows:
-        entry = live[k].trace[-1]
-        for block, dist in zip(blocks, (entry.domain_dist, entry.act_dist, entry.slot_dist)):
-            block[k] = dist
-    return AttentionDists(*map(Node, blocks))
-
-
 def _search(model: Model, sr: SemanticRepresentation, beam_size: int,
             max_length: int) -> GenerationResult:
     if beam_size < 1 or max_length < 1:
@@ -168,11 +151,13 @@ def _search(model: Model, sr: SemanticRepresentation, beam_size: int,
     state = initial_state(encoded, model.hidden, binding).take([0])
     live = [Hypothesis((), 0.0)]
     finished: list[Hypothesis] = []
+    # The attention distributions of the live rows that just emitted the
+    # placeholder, which feed those rows' next input, as in training.
+    dists = emitted = None
 
     for t in range(max_length):
         words = [h.token_ids[-1] if h.token_ids else vocab.sos_id for h in live]
-        x = make_feedback_input(words, _feedback(live, placeholder_id, ontology),
-                                binding, ontology.feedback_size)
+        x = make_feedback_input(words, dists, binding, ontology.feedback_size, rows=emitted)
         state, probs = step(binding, x, state)
         logp = np.log(np.maximum(probs.value, 1e-300))
         scores = np.array([h.score for h in live])[:, None] + logp
@@ -185,7 +170,7 @@ def _search(model: Model, sr: SemanticRepresentation, beam_size: int,
         for parent in ends.any(axis=1).nonzero()[0]:
             hyp = live[parent]
             finished.append(Hypothesis(hyp.token_ids, float(scores[parent, vocab.eos_id]),
-                                       hyp.trace, finished=True))
+                                       hyp.trace))
         parents, cols = (~ends & (top != banned)).nonzero()
         tokens = top[parents, cols]
         child_scores = scores[parents, tokens]
@@ -194,13 +179,10 @@ def _search(model: Model, sr: SemanticRepresentation, beam_size: int,
 
         state = state.take(parents)
         emitted = [k for k, tok in enumerate(tokens) if tok == placeholder_id]
-        resolved: dict[int, tuple[TraceEntry]] = {}
-        if emitted:
-            dists = attend(Node(state.s.value[emitted]), encoded, ontology)
-            for j, k in enumerate(emitted):
-                resolved[k] = (resolve_placeholder(t, dists.domain.value[j].copy(),
-                                                   dists.act.value[j].copy(),
-                                                   dists.slot.value[j].copy(), ontology),)
+        dists = attend(state.s[emitted], encoded, ontology) if emitted else None
+        resolved = {k: (resolve_placeholder(t, dists.domain[j].copy(), dists.act[j].copy(),
+                                            dists.slot[j].copy(), ontology),)
+                    for j, k in enumerate(emitted)}
         live = [Hypothesis(live[p].token_ids + (int(tok),), float(score),
                            live[p].trace + resolved.get(k, ()))
                 for k, (p, tok, score) in enumerate(zip(parents, tokens, child_scores))]

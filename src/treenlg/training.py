@@ -46,7 +46,7 @@ from .model import (
     rng_stream,
 )
 from .semantics import Corpus, Example, Ontology, SemanticRepresentation, SrEntry, delexicalize
-from .tree import ATTENDED, EncodedTree, LabelStates
+from .tree import ATTENDED, EncodedTree
 
 # Accepted JSON value types per TrainConfig field annotation.
 _JSON_TYPES = {"int": int, "float": (int, float), "float | None": (int, float, type(None)),
@@ -116,8 +116,9 @@ class TrainConfig:
 @dataclass
 class Forward:
     """The training graph of a minibatch (or one sentence): ``loss`` and
-    ``nll`` are sums over its sentences, ``n_tokens`` counts their target
-    tokens, end tokens included."""
+    ``nll`` are sums over its sentences, as nodes of ``tape`` (the benchmark
+    reads their ``.value``), and ``n_tokens`` counts their target tokens, end
+    tokens included."""
 
     tape: Tape
     loss: Node
@@ -184,8 +185,7 @@ def teacher_forced_batch(model: Model, preps: list[PreparedExample], config: Tra
                      placeholder[row, at], labels[row, at])
 
     encoded = model.encode_batch([p.example.sr for p in preps], binding)
-    layers = [encoded.labels[layer] for layer in ATTENDED] if model.uses_attention else []
-    value, vjp = _decoder_op(model, encoded, layers, tokens)
+    value, vjp = _decoder_op(model, encoded, tokens)
     parents = [binding[name] for name in ("dec.emb", "dec.x", "dec.h", "dec.s", "dec.b",
                                           "dec.out.w")]
     total = tape.op(value, (*parents, encoded.output), vjp)
@@ -210,23 +210,24 @@ class _Tokens:
     labels: np.ndarray
 
 
-def _decoder_op(model: Model, encoded: EncodedTree, layers: list[LabelStates],
+def _decoder_op(model: Model, encoded: EncodedTree,
                 tokens: _Tokens) -> tuple[np.ndarray, Callable]:
     """The teacher-forced decoder of a minibatch and both objectives: the
     value [summed NLL of the targets, summed -log probability of the
     supervised placeholders' true domain, act and slot] and its adjoint.
 
-    The forward pass runs the forward-only kernels, as the search does, on
-    a non-recording tape.  The adjoint back-propagates through time:
-    softmax with cross-entropy gives p - onehot for the output layer and
-    for each supervised attention layer; the feedback block carries step
-    t+1's input adjoint back into step t's attention distributions, and
-    through them into the semantic state.  Each weight's gradient is one
+    The forward pass runs the forward-only kernels on plain arrays, as the
+    search does.  The adjoint back-propagates through time: softmax with
+    cross-entropy gives p - onehot for the output layer and for each
+    supervised attention layer; the feedback block carries step t+1's input
+    adjoint back into step t's attention distributions, and through them
+    into the semantic state.  Each weight's gradient is one
     Δᵀ·X product over the stacked steps (Appleyard et al. 2016).  The
     encoder op gets one stacked adjoint, laid out like its value.  The
-    adjoint holds array shapes, not ``encoded``, whose tape holds it."""
+    adjoint holds that value's shape, not ``encoded``, which would keep the
+    whole encoding alive with the tape."""
     fwd = ParamBinding(Tape(recording=False), model.params)
-    view = EncodedTree(encoded.embedding, dict(zip(ATTENDED, layers)), fwd.tape)
+    layers = [encoded.labels[layer] for layer in ATTENDED] if model.uses_attention else []
     H, feedback_size = model.hidden, model.ontology.feedback_size
     words, out_masks = ((None, None) if tokens.dropout is None
                         else (tokens.dropout[:, 0], tokens.dropout[:, 1]))
@@ -240,22 +241,21 @@ def _decoder_op(model: Model, encoded: EncodedTree, layers: list[LabelStates],
         h, c, s = h[:hi - lo], c[:hi - lo], s[:hi - lo]
         x = make_feedback_input(tokens.inputs[lo:hi], pending, fwd, feedback_size,
                                 mask=None if words is None else words[lo:hi], rows=pending_rows)
-        state, p = step(fwd, x, DecoderState(Node(h), Node(c), Node(s)),
+        state, p = step(fwd, x, DecoderState(h, c, s),
                         mask=None if out_masks is None else out_masks[lo:hi])
         probs.append(p.value)
         att = pending = pending_rows = None
         rows = np.nonzero(tokens.placeholder[lo:hi])[0]
         if len(rows):
-            s_rows = state.s.value[rows]
-            pending, pending_rows = attend(Node(s_rows), view, model.ontology,
-                                           trees=rows), rows
-            dists = [pending.domain.value, pending.act.value, pending.slot.value]
+            s_rows = state.s[rows]
+            pending, pending_rows = attend(s_rows, encoded, model.ontology, trees=rows), rows
+            dists = [pending.domain, pending.act, pending.slot]
             labels = tokens.labels[lo:hi][rows]
             sup = np.nonzero(labels[:, 0] >= 0)[0]
             att_picks += [dist[sup, labels[sup, j]] for j, dist in enumerate(dists)]
             att = (rows, dists, labels, sup, s_rows)
-        cache.append((x.value, h, c, s, state.h.value, state.acts, att))
-        h, c, s = state.h.value, state.c.value, state.s.value
+        cache.append((x, h, c, s, state.h, state.acts, att))
+        h, c, s = state.h, state.c, state.s
     probs = np.concatenate(probs)
     n = np.arange(len(probs))
     nll = _neg_log(probs[n, tokens.targets])
@@ -293,7 +293,7 @@ def _decoder_op(model: Model, encoded: EncodedTree, layers: list[LabelStates],
                     d_canon[sup] += g_att * dist[sup]
                     d_canon[sup, labels[sup, j]] -= g_att
                     d_sc = np.where(states.owner == rows[:, None], d_canon[:, states.index], 0.0)
-                    ds[rows] += d_sc @ states.matrix.value
+                    ds[rows] += d_sc @ states.matrix
                     d_scores[j].append(d_sc)
             dz = d_z[lo:hi]
             dz[:, :H] = dc * g * i * (1.0 - i)

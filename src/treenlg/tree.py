@@ -13,7 +13,9 @@ the trees, are computed together; the adjoint runs the levels top-down.
 Each row's products are taken one row at a time (``np.matmul`` over a stack
 of vectors), so a node's state is bitwise the same whatever else shares its
 level.  The flat baseline's affine map is one fused op per minibatch as
-well.
+well.  The decoder reads the encoding as arrays: the label-state matrices
+it attends over are plain views of the op's value, and its initial
+semantic state is the embedding's value.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .engine import Node, ParamBinding, Tape, init_uniform, logistic
+from .engine import Node, ParamBinding, init_uniform, logistic
 from .semantics import (
     NO_SLOT_PROPERTY,
     NO_SLOT_TOKEN,
@@ -138,7 +140,7 @@ class LabelStates:
     rows tree b has, and ``index[j]`` is row j's position among the
     ontology's labels of the layer."""
 
-    matrix: Node
+    matrix: np.ndarray
     labels: list[str]
     index: np.ndarray
     counts: np.ndarray
@@ -147,28 +149,27 @@ class LabelStates:
         self.owner = np.repeat(np.arange(len(self.counts)), self.counts)
 
 
+@dataclass
 class EncodedTree:
     """Forward-pass products the decoder consumes, for one tree or for a
     minibatch of B trees: the semantic embedding ([H] for one tree, [B, H]
     for a batch) and, per attended layer, the label states for layer-wise
     attention (none in flat mode).
 
-    ``output`` is the encoder's one op on ``tape``.  Its value stacks the B
-    root embeddings, then each attended layer's label rows; ``embedding``
-    and the label matrices are unrecorded views of it, so an op reading them
-    takes ``output`` as its parent.  ``levels[d]`` is [h | c] of every
+    ``output`` is the encoder's one op.  Its value stacks the B root
+    embeddings, then each attended layer's label rows; ``embedding`` and the
+    label matrices are views of it, so an op reading them takes ``output``
+    as its parent.  The label matrices are plain arrays; ``embedding`` and
+    ``node_states`` are unrecorded ``Node`` views, because the acceptance
+    suite reads them as ``.value``.  ``levels[d]`` is [h | c] of every
     depth-d node ([n, 2H]), and ``positions[b][i]`` is the (depth, row) of
     node i of tree b; ``node_states`` reads them for a one-tree encoding."""
 
-    def __init__(self, embedding: Node, labels: dict[str, LabelStates], tape: Tape,
-                 output: Node | None = None, levels: list[np.ndarray] | None = None,
-                 positions: list[dict[int, tuple[int, int]]] | None = None):
-        self.embedding = embedding
-        self.labels = labels
-        self.tape = tape
-        self.output = output
-        self.levels = levels or []
-        self.positions = positions or [{}]
+    embedding: Node
+    labels: dict[str, LabelStates]
+    output: Node | None = None
+    levels: list[np.ndarray] = field(default_factory=list)
+    positions: list[dict[int, tuple[int, int]]] = field(default_factory=lambda: [{}])
 
     @cached_property
     def node_states(self) -> dict[int, tuple[Node, Node]]:
@@ -239,7 +240,7 @@ def encode_batch(trees: list[SemTree], binding: ParamBinding,
         idx, counts, valid = _padded([g[3] for g in group])
         value[start:stop] = _ordered_sum(levels[_DEPTH[layer]][:, :hidden], idx, counts)
         picks[_DEPTH[layer]] = (idx[valid], start + np.nonzero(valid)[0])
-        labels[layer] = LabelStates(Node(value[start:stop]), [g[1] for g in group],
+        labels[layer] = LabelStates(value[start:stop], [g[1] for g in group],
                                     np.array([g[2] for g in group], dtype=np.intp),
                                     np.bincount([g[0] for g in group], minlength=len(trees)))
 
@@ -261,7 +262,7 @@ def encode_batch(trees: list[SemTree], binding: ParamBinding,
 
     parents = tuple(binding[name] for name in ("enc.emb", "enc.e", "enc.h", "enc.b"))
     output = binding.tape.op(value, parents, vjp)
-    return EncodedTree(Node(value[:len(trees)]), labels, binding.tape, output, levels, positions)
+    return EncodedTree(Node(value[:len(trees)]), labels, output, levels, positions)
 
 
 def _rowwise(w: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -382,4 +383,4 @@ def encode_flat_batch(srs: list[SemanticRepresentation], ontology: Ontology,
         return d.T @ x, d.sum(axis=0)
 
     output = binding.tape.op(y, (w, b), vjp)
-    return EncodedTree(Node(output.value), {}, binding.tape, output)
+    return EncodedTree(Node(output.value), {}, output)

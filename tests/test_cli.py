@@ -255,22 +255,39 @@ class TestBadInput:
         ["synth", "--seed", "-1"], ["synth", "--srs-per-domain", "-3"],
         ["gradcheck", "--hidden", "0"], ["gradcheck", "--step", "0"],
         ["gradcheck", "--tolerance", "nan"], ["train", "--seed", "-1"],
-        ["train", "--init-scale", "inf"], ["generate", "--split", "nope"]], ids=" ".join)
+        ["train", "--init-scale", "inf"], ["train", "--domain", "nowhere"],
+        ["adapt", "--fraction", "2"], ["generate", "--split", "nope"]], ids=" ".join)
     def test_exits_2_with_one_line(self, data_dir, small_checkpoint, tmp_path, capsys, argv):
-        data = ["--corpus", str(data_dir / "corpus.jsonl"),
-                "--ontology", str(data_dir / "ontology.json")]
+        """Nothing is left behind: an output directory that the failed
+        command created, parents included, is removed again."""
+        corpus = ["--corpus", str(data_dir / "corpus.jsonl")]
+        data = corpus + ["--ontology", str(data_dir / "ontology.json")]
         rest = {"sweep": data + ["--source", "restaurant", "--target", "hotel",
                                  "--out", str(tmp_path / "sweep")],
                 "synth": ["--out", str(tmp_path / "synth")],
                 "gradcheck": [],
-                "train": data + ["--out", str(tmp_path / "train")],
-                "generate": ["--checkpoint", str(small_checkpoint), "--corpus",
-                             str(data_dir / "corpus.jsonl"), "--out", str(tmp_path / "g.jsonl")]}
+                "train": data + ["--out", str(tmp_path / "train" / "run")],
+                "adapt": corpus + ["--checkpoint", str(small_checkpoint),
+                                   "--out", str(tmp_path / "adapt")],
+                "generate": ["--checkpoint", str(small_checkpoint), *corpus,
+                             "--out", str(tmp_path / "g.jsonl")]}
         code = main(argv + rest[argv[0]])
         err = capsys.readouterr().err.strip().splitlines()
         assert code == 2
         assert len(err) == 1 and err[0].startswith("error: ")
-        assert not (tmp_path / "synth").exists() and not (tmp_path / "g.jsonl").exists()
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("contents", [[], ["keep.txt"]], ids=["empty", "non-empty"])
+    def test_existing_out_directory_is_kept(self, data_dir, tmp_path, contents):
+        out = tmp_path / "sweep"
+        out.mkdir()
+        for name in contents:
+            (out / name).write_text("kept\n")
+        code = main(["sweep", "--corpus", str(data_dir / "corpus.jsonl"),
+                     "--ontology", str(data_dir / "ontology.json"), "--source", "restaurant",
+                     "--target", "hotel", "--seeds", "0,0", "--out", str(out)])
+        assert code == 2
+        assert sorted(p.name for p in out.iterdir()) == contents
 
 
 class TestNumericWarnings:

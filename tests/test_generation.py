@@ -8,8 +8,9 @@ from treenlg.decoder import initial_state, make_feedback_input, step
 from treenlg.engine import ParamBinding, Tape
 from treenlg.errors import ContractError, DomainError
 from treenlg.generation import Hypothesis, _rank, beam_decode, greedy_decode
-from treenlg.model import Model, Vocabulary
-from treenlg.semantics import Ontology, SemanticRepresentation, SrEntry
+from treenlg.model import MODES, Model, PreparedExample, Vocabulary
+from treenlg.semantics import Example, Ontology, SemanticRepresentation, SrEntry
+from treenlg.training import TrainConfig, teacher_forced
 
 
 @pytest.fixture
@@ -185,6 +186,36 @@ class TestScores:
                 self.recompute_score(model, sr, top.delex_text), abs=1e-9)
 
 
+class TestFeedbackMatchesTeacherForcing:
+    """The search feeds a placeholder's attention distributions into the
+    next input as the teacher-forced decoder op does: every finished
+    beam-10 hypothesis scores the negated NLL that teacher forcing gives its
+    words, with "@" for each resolved placeholder and no attention
+    labels."""
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_finished_scores_equal_teacher_forced_nll(self, ontology, sr, mode):
+        words = ("in", "the", "a", "@" if mode == "tree+att" else "@restaurant-inform-area", "is")
+        checked = placeholders = 0
+        for seed in range(6):
+            model = random_model(ontology, seed, mode=mode, words=words)
+            config = TrainConfig(mode=mode)
+            for hyp in beam_decode(model, sr, beam_size=10, max_length=12).hypotheses:
+                if hyp.truncated:
+                    continue
+                tokens = hyp.delex_text.split()
+                if model.uses_attention:
+                    tokens = ["@" if w.startswith("@") else w for w in tokens]
+                    placeholders += tokens.count("@")
+                prep = PreparedExample(Example(sr, hyp.delex_text, "test"), tokens, {},
+                                       attention_usable=False)
+                fwd = teacher_forced(model, prep, config, training=False, recording=False)
+                assert hyp.score == pytest.approx(-float(fwd.nll.value), rel=0, abs=1e-9)
+                checked += 1
+        assert checked >= 10
+        assert placeholders > 0 or mode != "tree+att"
+
+
 class TestRender:
     """Ranking lexicalizes every hypothesis against the SR."""
 
@@ -194,7 +225,7 @@ class TestRender:
             [SrEntry("hotel", "inform", "options", "two")], ontology)
         words = delex.split()
         model = zeroed_model(ontology, words=words)
-        hyp = Hypothesis(tuple(model.vocab.encode(words)), -1.0, finished=True)
+        hyp = Hypothesis(tuple(model.vocab.encode(words)), -1.0)
         return _rank(model, sr, [hyp], beam_size=1).top
 
     def test_value_substitution(self, ontology):

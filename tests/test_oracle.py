@@ -48,6 +48,11 @@ def rel_err(a, b) -> float:
     return float(np.max(np.abs(a - b), initial=0.0)) / scale if scale else 0.0
 
 
+def ref_arrays(dists):
+    """The reference's domain, act and slot distributions, as arrays."""
+    return tuple(n.value for n in (dists.domain, dists.act, dists.slot))
+
+
 def weighted_sum(tape, nodes, weights):
     """sum_k <nodes[k], weights[k]> as one op, on either side's tape."""
     value = sum(float(np.sum(n.value * w)) for n, w in zip(nodes, weights))
@@ -231,9 +236,9 @@ class TestKernels:
                 ref_binding = ref_engine.ParamBinding(ref_tape, per_gate(model.params))
                 ref = ref_decoder.attend(ref_tape.leaf(s), ref_tree.encode_sr(model, sr, ref_binding),
                                          model.ontology)
-                new = attend(tape.leaf(s), model.encode_sr(sr, ParamBinding(tape, model.params)),
+                new = attend(s, model.encode_sr(sr, ParamBinding(tape, model.params)),
                              model.ontology)
-                for a, b in zip(arrays(ref), arrays(new)):
+                for a, b in zip(ref_arrays(ref), arrays(new)):
                     assert rel_err(a, b) <= TOL
                     assert np.array_equal(a == 0.0, b == 0.0)
 
@@ -245,22 +250,20 @@ class TestKernels:
             encoded = model.encode_sr(srs[0], binding)
             k = 4
             words = rng.integers(0, len(model.vocab), size=k)
-            rows = DecoderState(*(tape.leaf(rng.normal(size=(k, hidden))) for _ in range(3)))
+            rows = DecoderState(*(rng.normal(size=(k, hidden)) for _ in range(3)))
             x = make_feedback_input(words, None, binding, model.ontology.feedback_size)
             stacked, probs = step(binding, x, rows)
             for j in range(k):
-                one = DecoderState(*(tape.leaf(n.value[j]) for n in (rows.h, rows.c, rows.s)))
                 x1 = make_feedback_input(int(words[j]), None, binding,
                                          model.ontology.feedback_size)
-                single, p1 = step(binding, x1, one)
+                single, p1 = step(binding, x1, DecoderState(rows.h[j], rows.c[j], rows.s[j]))
                 assert rel_err(p1.value, probs.value[j]) <= TOL
-                assert rel_err(single.s.value, stacked.s.value[j]) <= TOL
+                assert rel_err(single.s, stacked.s[j]) <= TOL
             if model.uses_attention:
                 dists = attend(stacked.s, encoded, model.ontology)
                 for j in range(k):
-                    one = attend(tape.leaf(stacked.s.value[j]), encoded, model.ontology)
-                    for a, b in zip(arrays(one), (dists.domain.value[j], dists.act.value[j],
-                                                      dists.slot.value[j])):
+                    one = attend(stacked.s[j], encoded, model.ontology)
+                    for a, b in zip(arrays(one), (dists.domain[j], dists.act[j], dists.slot[j])):
                         assert rel_err(a, b) <= TOL
 
 
